@@ -5,7 +5,7 @@ GO ?= go
 all: check
 
 # check is the CI gate: formatting, vet, the API-surface lint, the full
-# suite, the race detector over the concurrency-heavy packages, and a short
+# suite, the race detector over every package, and a short
 # end-to-end load smoke against an in-process portal.
 check: fmt vet apilint test race smoke-http
 
@@ -32,7 +32,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/cluster/... ./internal/scheduler/... ./internal/jobs/... ./internal/mpi/... ./internal/topology/... ./internal/portal/... ./internal/minic/... ./internal/toolchain/... ./internal/dataprovider/... ./internal/auth/... ./internal/metrics/... ./internal/tenancy/...
+	$(GO) test -race ./...
 
 # smoke-http boots an in-process portal and runs the open-loop load
 # generator briefly at low rate; any server or transport error fails it.

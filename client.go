@@ -71,41 +71,67 @@ const (
 )
 
 func (c *Client) do(method, path string, body io.Reader, out interface{}) error {
+	res, err := c.send(context.Background(), method, path, body, "")
+	if err != nil {
+		return err
+	}
+	data, err := io.ReadAll(res.Body)
+	res.Body.Close()
+	if err != nil {
+		return err
+	}
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			return fmt.Errorf("ccportal: decoding %s: %w", path, err)
+		}
+	}
+	return nil
+}
+
+// send issues one API call under the rate-limit retry policy and returns the
+// successful response, whose body the caller must close. A failed call comes
+// back as an *APIError decoded from the error envelope. A retry wait ends
+// early, with ctx's error, when ctx is done.
+func (c *Client) send(ctx context.Context, method, path string, body io.Reader, accept string) (*http.Response, error) {
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequest(method, c.BaseURL+path, body)
+		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		if c.token != "" {
 			req.Header.Set("Authorization", "Bearer "+c.token)
 		}
 		res, err := c.httpClient().Do(req)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		data, err := io.ReadAll(res.Body)
+		if res.StatusCode < 400 {
+			return res, nil
+		}
+		data, err := io.ReadAll(io.LimitReader(res.Body, 1<<20))
 		res.Body.Close()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if res.StatusCode >= 400 {
-			if res.StatusCode == http.StatusTooManyRequests && attempt < maxRateLimitRetries {
-				if wait, ok := retryAfterOf(res); ok && wait <= maxRetryAfterWait && rewind(body) {
-					time.Sleep(wait + time.Duration(rand.Int63n(int64(retryJitterMax))))
+		if res.StatusCode == http.StatusTooManyRequests && attempt < maxRateLimitRetries {
+			if wait, ok := retryAfterOf(res); ok && wait <= maxRetryAfterWait && rewind(body) {
+				t := time.NewTimer(wait + time.Duration(rand.Int63n(int64(retryJitterMax))))
+				select {
+				case <-t.C:
 					continue
+				case <-ctx.Done():
+					t.Stop()
+					return nil, ctx.Err()
 				}
 			}
-			return decodeAPIError(res, data, method, path)
 		}
-		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("ccportal: decoding %s: %w", path, err)
-			}
-		}
-		return nil
+		return nil, decodeAPIError(res, data, method, path)
 	}
 }
 
@@ -476,24 +502,12 @@ func (c *Client) Watch(ctx context.Context, id string) (*Watch, error) {
 // WatchFrom is Watch resuming from a previous event's Seq. seq < 0 attaches
 // at the live tail (only new output); a stale seq is clamped to the oldest
 // retained byte, surfacing the gap as the first event's Dropped count.
+// Opening the subscription follows the same rate-limit retry policy as every
+// other call.
 func (c *Client) WatchFrom(ctx context.Context, id string, seq int64) (*Watch, error) {
-	path := fmt.Sprintf("/api/jobs/%s/events?seq=%d", id, seq)
-	req, err := http.NewRequestWithContext(ctx, "GET", c.BaseURL+path, nil)
+	res, err := c.send(ctx, "GET", fmt.Sprintf("/api/jobs/%s/events?seq=%d", id, seq), nil, "text/event-stream")
 	if err != nil {
 		return nil, err
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	res, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if res.StatusCode >= 400 {
-		defer res.Body.Close()
-		body, _ := io.ReadAll(io.LimitReader(res.Body, 1<<20))
-		return nil, decodeAPIError(res, body, "GET", path)
 	}
 	return &Watch{body: res.Body, br: bufio.NewReader(res.Body)}, nil
 }

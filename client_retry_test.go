@@ -1,6 +1,7 @@
 package ccportal
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -115,5 +116,91 @@ func TestClientDoesNotRetryLongOrHeaderless429(t *testing.T) {
 				t.Fatalf("server saw %d requests, want 1 (no retry)", got)
 			}
 		})
+	}
+}
+
+// TestWatchRetriesAfter429: opening an event stream rides the same retry
+// policy as every other call — the first /events answers 429 with
+// Retry-After: 0, the second streams, and Watch succeeds.
+func TestWatchRetriesAfter429(t *testing.T) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 1 {
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusTooManyRequests)
+			io.WriteString(w, rateLimitedBody)
+			return
+		}
+		if r.URL.Path != "/api/jobs/job-1/events" || r.Header.Get("Accept") != "text/event-stream" {
+			w.WriteHeader(http.StatusBadRequest)
+			io.WriteString(w, `{"error":{"code":"invalid_argument","message":"not an events request"}}`)
+			return
+		}
+		w.Header().Set("Content-Type", "text/event-stream")
+		io.WriteString(w, "event: output\nid: 3\ndata: {\"seq\":3,\"stream\":\"stdout\",\"data\":\"hi\\n\",\"dropped\":0}\n\n")
+		io.WriteString(w, "event: done\nid: 3\ndata: {\"seq\":3,\"state\":\"succeeded\"}\n\n")
+	}))
+	defer srv.Close()
+
+	w, err := NewClient(srv.URL).Watch(context.Background(), "job-1")
+	if err != nil {
+		t.Fatalf("Watch after a short 429: %v", err)
+	}
+	defer w.Close()
+	if ev, err := w.Next(); err != nil || ev.Data != "hi\n" || ev.Seq != 3 {
+		t.Fatalf("first event = %+v, %v", ev, err)
+	}
+	if ev, err := w.Next(); err != nil || !ev.Done || ev.State != "succeeded" {
+		t.Fatalf("done event = %+v, %v", ev, err)
+	}
+	if got := hits.Load(); got != 2 {
+		t.Fatalf("server saw %d requests, want 2 (1 throttled + 1 stream)", got)
+	}
+}
+
+// TestWatchSurfaces429AfterRetryBudget: a throttle that outlasts the retry
+// budget surfaces from Watch as a typed rate_limited APIError.
+func TestWatchSurfaces429AfterRetryBudget(t *testing.T) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Retry-After", "0")
+		w.WriteHeader(http.StatusTooManyRequests)
+		io.WriteString(w, rateLimitedBody)
+	}))
+	defer srv.Close()
+
+	w, err := NewClient(srv.URL).Watch(context.Background(), "job-1")
+	if w != nil {
+		w.Close()
+	}
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusTooManyRequests || ae.Code != "rate_limited" {
+		t.Fatalf("err = %v, want rate_limited *APIError", err)
+	}
+	if got := hits.Load(); got != int64(maxRateLimitRetries)+1 {
+		t.Fatalf("server saw %d requests, want %d", got, maxRateLimitRetries+1)
+	}
+}
+
+// TestWatchRetryWaitHonoursContext: a cancelled context ends a retry wait at
+// once instead of sleeping out the Retry-After.
+func TestWatchRetryWaitHonoursContext(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		w.WriteHeader(http.StatusTooManyRequests)
+		io.WriteString(w, rateLimitedBody)
+	}))
+	defer srv.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := NewClient(srv.URL).Watch(ctx, "job-1")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Fatalf("cancelled Watch returned after %v, want well under the 1s Retry-After", elapsed)
 	}
 }

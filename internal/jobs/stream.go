@@ -339,6 +339,15 @@ func (w *Watcher) TryNext(max int) (ev Event, ok bool) {
 	return Event{Seq: next, Data: data, Dropped: dropped}, true
 }
 
+// Closed reports whether the stream has been closed, whatever the watcher
+// has yet to read. It takes only the stream lock, so a delivery loop can
+// poll it on every wake-up to cut a coalescing wait short.
+func (w *Watcher) Closed() bool {
+	w.s.mu.Lock()
+	defer w.s.mu.Unlock()
+	return w.s.closed
+}
+
 // Drained reports whether the stream is closed and the watcher has consumed
 // everything it will ever deliver.
 func (w *Watcher) Drained() bool {

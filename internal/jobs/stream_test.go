@@ -235,6 +235,31 @@ func TestStreamTailAttach(t *testing.T) {
 	}
 }
 
+// TestWatcherClosed: Closed tracks the stream's close independently of the
+// watcher's read position, while Drained waits for the watcher to catch up.
+func TestWatcherClosed(t *testing.T) {
+	s := NewStream(0)
+	w := s.Watch(0)
+	defer w.Close()
+	s.Write([]byte("tail"))
+	if w.Closed() || w.Drained() {
+		t.Fatal("open stream reported closed")
+	}
+	s.Close()
+	if !w.Closed() {
+		t.Fatal("Closed = false after stream Close")
+	}
+	if w.Drained() {
+		t.Fatal("Drained = true with 4 unread bytes")
+	}
+	if _, ok := w.TryNext(0); !ok {
+		t.Fatal("unread bytes lost on close")
+	}
+	if !w.Closed() || !w.Drained() {
+		t.Fatalf("after catch-up: Closed=%v Drained=%v, want both", w.Closed(), w.Drained())
+	}
+}
+
 func TestInputOverflowRejected(t *testing.T) {
 	in := NewInput(8)
 	if err := in.Feed([]byte("12345678")); err != nil {

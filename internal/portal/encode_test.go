@@ -3,6 +3,8 @@ package portal
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -81,6 +83,19 @@ func TestAppendJobParity(t *testing.T) {
 	}
 }
 
+// writeSSE is the reference rendering of one Server-Sent Event frame that
+// the hand-rolled frame appenders must match byte for byte. The payload is
+// JSON-encoded, so it is a single line by construction (encoding/json
+// escapes newlines).
+func writeSSE(w io.Writer, event string, id int64, payload interface{}) error {
+	data, err := json.Marshal(payload)
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", event, id, data)
+	return err
+}
+
 // TestAppendOutputFrameParity pins the hand-rolled SSE frame to what
 // writeSSE produces for the same sseOutputEvent.
 func TestAppendOutputFrameParity(t *testing.T) {
@@ -94,6 +109,27 @@ func TestAppendOutputFrameParity(t *testing.T) {
 	got := appendOutputFrame(nil, 42, data, 7)
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("appendOutputFrame:\n got %q\nwant %q", got, want.Bytes())
+	}
+}
+
+// TestAppendDoneFrameParity pins the hand-rolled done frame to what
+// writeSSE produces for the same sseDoneEvent, for every terminal state and
+// a state string that needs escaping.
+func TestAppendDoneFrameParity(t *testing.T) {
+	states := []string{
+		jobs.StateSucceeded.String(), jobs.StateFailed.String(), jobs.StateCancelled.String(),
+		`odd "<state>" & \ more`,
+	}
+	for i, state := range states {
+		seq := int64(i * 1000)
+		var want bytes.Buffer
+		if err := writeSSE(&want, "done", seq, sseDoneEvent{Seq: seq, State: state}); err != nil {
+			t.Fatal(err)
+		}
+		got := appendDoneFrame(nil, seq, state)
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("appendDoneFrame(%q):\n got %q\nwant %q", state, got, want.Bytes())
+		}
 	}
 }
 

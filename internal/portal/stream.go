@@ -1,8 +1,6 @@
 package portal
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -11,11 +9,14 @@ import (
 	"repro/internal/auth"
 )
 
-// SSE delivery tuning. The coalescing window batches a burst of VM writes
-// into one flush so 10k watchers cost one syscall each per ~10ms instead of
-// one per write; the heartbeat keeps idle connections alive through
-// proxies; the per-event cap turns a huge catch-up into several resumable
-// frames instead of one giant one.
+// SSE delivery tuning. The coalescing window is the minimum spacing between
+// two flushes on one connection: the first write after an idle window is
+// flushed at once, and writes that keep arriving inside the window wait only
+// for its remainder, so a burst of VM writes still ships as one flush and
+// 10k watchers cost one syscall each per ~10ms instead of one per write. The
+// heartbeat keeps idle connections alive through proxies; the per-event cap
+// turns a huge catch-up into several resumable frames instead of one giant
+// one.
 const (
 	sseCoalesceWindow = 10 * time.Millisecond
 	sseHeartbeat      = 15 * time.Second
@@ -67,29 +68,34 @@ func appendOutputFrame(b []byte, seq int64, data []byte, dropped int64) []byte {
 }
 
 // sseDoneEvent terminates the stream: the job is finished and everything
-// retained has been delivered.
+// retained has been delivered. Like sseOutputEvent it is rendered by hand,
+// with appendDoneFrame; the parity test in encode_test.go keeps the two in
+// sync.
 type sseDoneEvent struct {
 	Seq   int64  `json:"seq"`
 	State string `json:"state"`
 }
 
-// writeSSE writes one Server-Sent Event frame. The payload is JSON-encoded,
-// so it is a single line by construction (encoding/json escapes newlines).
-func writeSSE(w io.Writer, event string, id int64, payload interface{}) error {
-	data, err := json.Marshal(payload)
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", event, id, data)
-	return err
+// appendDoneFrame appends the SSE frame carrying an sseDoneEvent into the
+// connection's reused frame buffer.
+func appendDoneFrame(b []byte, seq int64, state string) []byte {
+	b = append(b, "event: done\nid: "...)
+	b = strconv.AppendInt(b, seq, 10)
+	b = append(b, "\ndata: {\"seq\":"...)
+	b = strconv.AppendInt(b, seq, 10)
+	b = append(b, `,"state":`...)
+	b = appendJSONString(b, state)
+	return append(b, '}', '\n', '\n')
 }
 
 // handleJobEvents is the push half of the watch API: an SSE stream of the
 // job's output at GET /api/jobs/{id}/events. A fresh connection starts at
 // sequence 0 (the oldest retained byte); a reconnecting client resumes from
 // its Last-Event-ID (or an explicit ?seq=N, which wins); seq=-1 attaches at
-// the live tail. Writes from the job's ranks are coalesced for ~10ms and
-// flushed as a batch; a heartbeat comment keeps idle connections open; the
+// the live tail. Output is flushed on the leading edge: the first write
+// after an idle window, and the stream's close, go out at once, while writes
+// arriving within sseCoalesceWindow of the last flush are batched into one
+// trailing flush; a heartbeat comment keeps idle connections open; the
 // stream ends with a "done" event once the job finishes and the watcher has
 // drained. The handler never applies backpressure to the producing VM — a
 // slow consumer sees an explicit dropped count instead.
@@ -147,10 +153,18 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, sess *a
 	hb := time.NewTicker(sseHeartbeat)
 	defer hb.Stop()
 
-	var frame []byte // reused across the connection's whole delivery loop
+	var (
+		frame     []byte      // reused across the connection's whole delivery loop
+		lastFlush time.Time   // zero until the first flush: the stream starts idle
+		linger    *time.Timer // created by the first coalescing wait, then reused
+	)
 	for {
-		// Drain everything buffered since the last flush into one batch.
+		// Drain everything buffered since the last flush into one batch. The
+		// batch ends at the head seen now, so a leading-edge flush does not
+		// chase a burst that is still being written: the rest of the burst
+		// waits for the trailing flush.
 		start := time.Now()
+		head := job.Stdout.Len()
 		sent := 0
 		for {
 			ev, ok := wtr.TryNext(sseMaxEventBytes)
@@ -164,14 +178,21 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, sess *a
 				return
 			}
 			sent++
+			if ev.Seq >= head {
+				break
+			}
 		}
 		if sent > 0 {
 			flusher.Flush()
-			flushHist.Observe(time.Since(start).Seconds())
+			lastFlush = time.Now()
+			flushHist.Observe(lastFlush.Sub(start).Seconds())
 			lagHist.Observe(float64(wtr.Lag()))
 		}
 		if wtr.Drained() {
-			writeSSE(w, "done", wtr.Pos(), sseDoneEvent{Seq: wtr.Pos(), State: job.State().String()})
+			frame = appendDoneFrame(frame[:0], wtr.Pos(), job.State().String())
+			if _, err := w.Write(frame); err != nil {
+				return
+			}
 			flusher.Flush()
 			return
 		}
@@ -184,18 +205,37 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, sess *a
 			}
 			flusher.Flush()
 		case <-wtr.Notify():
-			// First byte of a burst arrived; linger one coalescing window so
-			// the burst ships as a single flush.
-			t := time.NewTimer(sseCoalesceWindow)
+			// A write after an idle window, or the stream's close, is
+			// delivered at once. A write inside the last flush's window waits
+			// out the rest of it, so the remainder of its burst ships in the
+			// same trailing flush; closing the stream cuts that wait short.
+			rest := sseCoalesceWindow - time.Since(lastFlush)
+			if rest <= 0 || wtr.Closed() {
+				continue
+			}
+			if linger == nil {
+				linger = time.NewTimer(rest)
+			} else {
+				linger.Reset(rest)
+			}
 		coalesce:
 			for {
 				select {
-				case <-t.C:
+				case <-linger.C:
 					break coalesce
 				case <-ctx.Done():
-					t.Stop()
+					linger.Stop()
 					return
 				case <-wtr.Notify():
+					if wtr.Closed() {
+						if !linger.Stop() {
+							select { // drop a tick that raced the Stop
+							case <-linger.C:
+							default:
+							}
+						}
+						break coalesce
+					}
 				}
 			}
 		}

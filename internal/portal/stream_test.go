@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -288,5 +289,131 @@ func TestJobEventsLongPollStillWorks(t *testing.T) {
 	}
 	if out.Data != "abc" || out.Next != 3 || out.Done || out.Dropped != 0 || out.State != "queued" {
 		t.Fatalf("long-poll shape = %+v", out)
+	}
+}
+
+// watchIdle submits a job that never runs and subscribes to its events,
+// returning once the handler's watcher is attached and waiting on an idle
+// stream.
+func watchIdle(t *testing.T, s *stack, c *client) (*jobs.Job, *sseReader) {
+	t.Helper()
+	job := submitIdleJob(t, s, "alice")
+	_, r := openEvents(t, s, c, job.ID, "?seq=0", nil)
+	waitFor(t, func() bool { return job.Stdout.Stats().Watchers == 1 })
+	return job, r
+}
+
+// medianDuration returns the median of ds, sorting it in place.
+func medianDuration(ds []time.Duration) time.Duration {
+	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+	return ds[len(ds)/2]
+}
+
+// TestJobEventsIdleEdgeFlushesAtOnce: the only write of an idle stream, and
+// the done event after Close, each arrive well inside one coalescing window
+// rather than after lingering a full one. Medians over repeated trials keep
+// a loaded host's scheduler pauses from deciding the outcome.
+func TestJobEventsIdleEdgeFlushesAtOnce(t *testing.T) {
+	s := newStackDispatch(t, false)
+	alice := s.register(t, "alice", "password1")
+	const trials = 20
+	var first, done []time.Duration
+	for i := 0; i < trials; i++ {
+		job, r := watchIdle(t, s, alice)
+		start := time.Now()
+		job.Stdout.Write([]byte("only line\n"))
+		if ev := r.next(); ev.name != "output" || ev.Data != "only line\n" || ev.Seq != 10 {
+			t.Fatalf("trial %d: output event = %+v", i, ev)
+		}
+		first = append(first, time.Since(start))
+		start = time.Now()
+		job.Stdout.Close()
+		if ev := r.next(); ev.name != "done" || ev.Seq != 10 {
+			t.Fatalf("trial %d: done event = %+v", i, ev)
+		}
+		done = append(done, time.Since(start))
+	}
+	if m := medianDuration(first); m >= sseCoalesceWindow/2 {
+		t.Errorf("median first-output delivery %v, want < %v (no linger on an idle edge)", m, sseCoalesceWindow/2)
+	}
+	if m := medianDuration(done); m >= sseCoalesceWindow/2 {
+		t.Errorf("median done delivery after Close %v, want < %v", m, sseCoalesceWindow/2)
+	}
+}
+
+// TestJobEventsBurstStillCoalesces: 1,000 writes in a tight loop arrive
+// byte-exact in a small constant number of output events — the leading-edge
+// flush, the trailing flush, and slack for one scheduler pause, plus one per
+// coalescing window the loop itself took on a slow host.
+func TestJobEventsBurstStillCoalesces(t *testing.T) {
+	s := newStackDispatch(t, false)
+	alice := s.register(t, "alice", "password1")
+	job, r := watchIdle(t, s, alice)
+
+	var want strings.Builder
+	start := time.Now()
+	for i := 0; i < 1000; i++ {
+		line := "line " + strconv.Itoa(i) + "\n"
+		want.WriteString(line)
+		job.Stdout.Write([]byte(line))
+	}
+	loop := time.Since(start)
+	job.Stdout.Close()
+
+	var got strings.Builder
+	outputs := 0
+	for {
+		ev := r.next()
+		if ev.name == "done" {
+			if ev.Seq != int64(want.Len()) {
+				t.Fatalf("done seq = %d, want %d", ev.Seq, want.Len())
+			}
+			break
+		}
+		if ev.Drop != 0 {
+			t.Fatalf("burst lost %d bytes to retention", ev.Drop)
+		}
+		got.WriteString(ev.Data)
+		outputs++
+	}
+	if got.String() != want.String() {
+		t.Fatalf("burst delivered %d bytes, want %d byte-exact", got.Len(), want.Len())
+	}
+	if limit := 3 + int(loop/sseCoalesceWindow); outputs > limit {
+		t.Fatalf("1000-write burst (loop %v) took %d output events, want <= %d", loop, outputs, limit)
+	}
+}
+
+// TestJobEventsCloseEndsCoalescingWait: a write landing just after a flush
+// waits out the rest of the window, but closing the stream ends that wait at
+// once — the pending output and the done event follow the Close without a
+// linger.
+func TestJobEventsCloseEndsCoalescingWait(t *testing.T) {
+	s := newStackDispatch(t, false)
+	alice := s.register(t, "alice", "password1")
+	const trials = 10
+	var lat []time.Duration
+	for i := 0; i < trials; i++ {
+		job, r := watchIdle(t, s, alice)
+		job.Stdout.Write([]byte("a"))
+		if ev := r.next(); ev.Data != "a" {
+			t.Fatalf("trial %d: leading event = %+v", i, ev)
+		}
+		// Inside the window of the flush that carried "a": the handler
+		// starts a coalescing wait for this write.
+		job.Stdout.Write([]byte("b"))
+		time.Sleep(sseCoalesceWindow / 5)
+		start := time.Now()
+		job.Stdout.Close()
+		if ev := r.next(); ev.name != "output" || ev.Data != "b" || ev.Seq != 2 {
+			t.Fatalf("trial %d: trailing event = %+v", i, ev)
+		}
+		if ev := r.next(); ev.name != "done" || ev.Seq != 2 {
+			t.Fatalf("trial %d: done event = %+v", i, ev)
+		}
+		lat = append(lat, time.Since(start))
+	}
+	if m := medianDuration(lat); m >= sseCoalesceWindow/2 {
+		t.Errorf("median Close-to-done %v during a coalescing wait, want < %v", m, sseCoalesceWindow/2)
 	}
 }
