@@ -9,7 +9,7 @@ import (
 // builtins use.
 func TestArrayCodecRoundTrip(t *testing.T) {
 	elems := []Value{IntValue(-7), BoolValue(true), FloatValue(3.5), IntValue(1 << 40)}
-	b, err := encodeArray(elems)
+	b, err := new(Machine).encodeForSend(ArrayValue(elems))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,11 +17,11 @@ func TestArrayCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Kind != KindArray || len(v.Arr.Elems) != len(elems) {
+	if v.Kind != KindArray || len(v.Arr()) != len(elems) {
 		t.Fatalf("decoded %v", v)
 	}
-	for i, e := range v.Arr.Elems {
-		if e.Kind != elems[i].Kind || e.I != elems[i].I || e.F != elems[i].F {
+	for i, e := range v.Arr() {
+		if e != elems[i] {
 			t.Fatalf("element %d: %v vs %v", i, e, elems[i])
 		}
 	}
@@ -33,12 +33,12 @@ func TestArrayCodecRejectsBadFrames(t *testing.T) {
 		t.Fatal("truncated array header accepted")
 	}
 	// Count/body mismatch.
-	b, _ := encodeArray([]Value{IntValue(1)})
+	b, _ := new(Machine).encodeForSend(ArrayValue([]Value{IntValue(1)}))
 	if _, err := decodeValue(b[:len(b)-1]); err == nil {
 		t.Fatal("truncated array body accepted")
 	}
 	// Unsendable element kinds are rejected at encode.
-	if _, err := encodeArray([]Value{StringValue("no")}); err == nil {
+	if _, err := new(Machine).encodeForSend(ArrayValue([]Value{StringValue("no")})); err == nil {
 		t.Fatal("string array element encoded")
 	}
 	// Nested/string elements inside a frame are rejected at decode.

@@ -311,12 +311,11 @@ func sameConst(a, b Value) bool {
 		return false
 	}
 	switch a.Kind {
-	case KindInt, KindBool:
+	case KindInt, KindBool, KindFloat:
+		// Floats compare by bit pattern, so -0.0 never interns onto 0.0.
 		return a.I == b.I
-	case KindFloat:
-		return a.F == b.F
 	case KindString:
-		return a.S == b.S
+		return a.S() == b.S()
 	default:
 		return false
 	}

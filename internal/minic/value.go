@@ -6,6 +6,7 @@ import (
 	"math"
 	"strconv"
 	"sync"
+	"unsafe"
 
 	"repro/internal/primitives"
 )
@@ -52,23 +53,19 @@ func (k ValueKind) String() string {
 	}
 }
 
-// Array is a shared, mutable array value. Element access is serialized by
-// the owning machine's memory lock, so Go-level memory stays safe while
-// language-level races (load/compute/store interleavings) remain observable.
-type Array struct {
-	Elems []Value
-}
-
-// Value is a minic runtime value: a small tagged union.
+// Value is a minic runtime value: a 24-byte tagged union with exactly one
+// pointer word, so operand-stack and array-element writes pay the GC write
+// barrier for one slot and an n-element array costs 24n bytes.
+//
+// I carries the int and bool payloads, a float's IEEE-754 bits, a string's
+// or array's length, and a thread's id. p is nil for scalars; otherwise it
+// is the string's bytes, the array's first element, the *sync.Mutex, the
+// *primitives.Semaphore or the *Thread, selected by Kind. Read the payload
+// through the accessors (F, S, Arr, Mu, Sem, Th).
 type Value struct {
 	Kind ValueKind
 	I    int64
-	F    float64
-	S    string
-	Arr  *Array
-	Mu   *sync.Mutex
-	Sem  *primitives.Semaphore
-	Th   *Thread
+	p    unsafe.Pointer
 }
 
 // Constructors.
@@ -80,19 +77,83 @@ func UnitValue() Value { return Value{Kind: KindUnit} }
 func IntValue(v int64) Value { return Value{Kind: KindInt, I: v} }
 
 // BoolValue wraps a bool.
-func BoolValue(v bool) Value {
-	var i int64
-	if v {
-		i = 1
-	}
-	return Value{Kind: KindBool, I: i}
+func BoolValue(v bool) Value { return Value{Kind: KindBool, I: boolInt(v)} }
+
+// FloatValue wraps a float64, stored as its bit pattern so -0.0 and NaN
+// payloads survive copies and constant interning exactly.
+func FloatValue(v float64) Value { return Value{Kind: KindFloat, I: int64(math.Float64bits(v))} }
+
+// StringValue wraps a string without copying its bytes.
+func StringValue(v string) Value {
+	return Value{Kind: KindString, I: int64(len(v)), p: unsafe.Pointer(unsafe.StringData(v))}
 }
 
-// FloatValue wraps a float64.
-func FloatValue(v float64) Value { return Value{Kind: KindFloat, F: v} }
+// ArrayValue wraps elems as a shared, mutable array: copies of the Value
+// alias the same elements. Element access is serialized by the owning
+// machine's memory lock, so Go-level memory stays safe while language-level
+// races (load/compute/store interleavings) remain observable. An array's
+// length never changes after creation.
+func ArrayValue(elems []Value) Value {
+	return Value{Kind: KindArray, I: int64(len(elems)), p: unsafe.Pointer(unsafe.SliceData(elems))}
+}
 
-// StringValue wraps a string.
-func StringValue(v string) Value { return Value{Kind: KindString, S: v} }
+func mutexValue(mu *sync.Mutex) Value { return Value{Kind: KindMutex, p: unsafe.Pointer(mu)} }
+
+func semValue(s *primitives.Semaphore) Value { return Value{Kind: KindSem, p: unsafe.Pointer(s)} }
+
+func threadValue(t *Thread) Value { return Value{Kind: KindThread, I: t.id, p: unsafe.Pointer(t)} }
+
+// Accessors. Each returns its type's zero value when Kind does not match, so
+// a mistyped read can never reinterpret one pointer kind as another.
+
+// F returns a float's value.
+func (v Value) F() float64 {
+	if v.Kind != KindFloat {
+		return 0
+	}
+	return math.Float64frombits(uint64(v.I))
+}
+
+// S returns a string's value.
+func (v Value) S() string {
+	if v.Kind != KindString {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.I))
+}
+
+// Arr returns an array's elements. The slice aliases the array: callers
+// hold the machine's memory lock while reading or writing elements.
+func (v Value) Arr() []Value {
+	if v.Kind != KindArray {
+		return nil
+	}
+	return unsafe.Slice((*Value)(v.p), int(v.I))
+}
+
+// Mu returns a mutex value's lock.
+func (v Value) Mu() *sync.Mutex {
+	if v.Kind != KindMutex {
+		return nil
+	}
+	return (*sync.Mutex)(v.p)
+}
+
+// Sem returns a semaphore value's semaphore.
+func (v Value) Sem() *primitives.Semaphore {
+	if v.Kind != KindSem {
+		return nil
+	}
+	return (*primitives.Semaphore)(v.p)
+}
+
+// Th returns a thread handle's thread.
+func (v Value) Th() *Thread {
+	if v.Kind != KindThread {
+		return nil
+	}
+	return (*Thread)(v.p)
+}
 
 // Bool reports the truthiness of a bool value.
 func (v Value) Bool() bool { return v.Kind == KindBool && v.I != 0 }
@@ -110,12 +171,12 @@ func (v Value) String() string {
 		}
 		return "false"
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.F(), 'g', -1, 64)
 	case KindString:
-		return v.S
+		return v.S()
 	case KindArray:
 		s := "["
-		for i, e := range v.Arr.Elems {
+		for i, e := range v.Arr() {
 			if i > 0 {
 				s += " "
 			}
@@ -139,7 +200,7 @@ func (v Value) numeric() (float64, bool) {
 	case KindInt:
 		return float64(v.I), true
 	case KindFloat:
-		return v.F, true
+		return v.F(), true
 	default:
 		return 0, false
 	}
@@ -199,7 +260,7 @@ func applyBinary(op int, a, b Value, line int) (Value, error) {
 	switch op {
 	case BinAdd:
 		if a.Kind == KindString && b.Kind == KindString {
-			return StringValue(a.S + b.S), nil
+			return StringValue(a.S() + b.S()), nil
 		}
 		fallthrough
 	case BinSub, BinMul, BinDiv, BinMod:
@@ -274,7 +335,7 @@ func arith(op int, a, b Value, line int) (Value, error) {
 
 func valueEq(a, b Value, line int) (bool, error) {
 	if a.Kind == KindString && b.Kind == KindString {
-		return a.S == b.S, nil
+		return a.S() == b.S(), nil
 	}
 	if a.Kind == KindBool && b.Kind == KindBool {
 		return a.I == b.I, nil
@@ -294,7 +355,7 @@ func compare(op int, a, b Value, line int) (Value, error) {
 	var lt, eq bool
 	switch {
 	case a.Kind == KindString && b.Kind == KindString:
-		lt, eq = a.S < b.S, a.S == b.S
+		lt, eq = a.S() < b.S(), a.S() == b.S()
 	default:
 		af, aok := a.numeric()
 		bf, bok := b.numeric()
@@ -323,7 +384,7 @@ func applyUnary(op int, a Value, line int) (Value, error) {
 		case KindInt:
 			return IntValue(-a.I), nil
 		case KindFloat:
-			return FloatValue(-a.F), nil
+			return FloatValue(-a.F()), nil
 		}
 		return Value{}, errAt(line, 0, "negation needs a numeric operand, got %s", a.Kind)
 	case UnNot:
@@ -336,25 +397,35 @@ func applyUnary(op int, a Value, line int) (Value, error) {
 	}
 }
 
-// encodeValue serializes a sendable value (int, float, bool, string) for the
-// message-passing builtins. Numbers travel little-endian, like the mpi
-// package's float payloads.
+// scalarFrameLen is the wire size of an int, bool or float: a kind byte
+// then the little-endian payload word. Floats travel as their bit pattern,
+// like the mpi package's float payloads.
+const scalarFrameLen = 9
+
+// isScalarFrameKind reports whether values of kind travel as a scalar frame.
+func isScalarFrameKind(k ValueKind) bool {
+	return k == KindInt || k == KindBool || k == KindFloat
+}
+
+func errUnsendable(k ValueKind) error { return fmt.Errorf("minic: cannot send a %s", k) }
+
+func errUnsendableElem(k ValueKind) error {
+	return fmt.Errorf("minic: cannot send an array containing a %s", k)
+}
+
+// encodeValue serializes a sendable scalar (int, float, bool, string) for
+// the message-passing builtins.
 func encodeValue(v Value) ([]byte, error) {
-	switch v.Kind {
-	case KindInt, KindBool:
-		b := make([]byte, 9)
+	switch {
+	case v.Kind == KindString:
+		return append([]byte{byte(KindString)}, v.S()...), nil
+	case isScalarFrameKind(v.Kind):
+		b := make([]byte, scalarFrameLen)
 		b[0] = byte(v.Kind)
 		binary.LittleEndian.PutUint64(b[1:], uint64(v.I))
 		return b, nil
-	case KindFloat:
-		b := make([]byte, 9)
-		b[0] = byte(v.Kind)
-		binary.LittleEndian.PutUint64(b[1:], math.Float64bits(v.F))
-		return b, nil
-	case KindString:
-		return append([]byte{byte(KindString)}, v.S...), nil
 	default:
-		return nil, fmt.Errorf("minic: cannot send a %s", v.Kind)
+		return nil, errUnsendable(v.Kind)
 	}
 }
 
@@ -362,31 +433,26 @@ func encodeValue(v Value) ([]byte, error) {
 // allocation limit so a corrupt frame cannot ask for an absurd allocation.
 const maxSendElems = 1 << 22
 
-// encodeArray serializes an array snapshot for the message-passing builtins:
-// a kind byte, a little-endian element count, then each element as its
-// 9-byte scalar frame. Only numeric and bool elements travel; the caller
-// must have snapshotted elems under the machine's memory lock.
-func encodeArray(elems []Value) ([]byte, error) {
-	b := make([]byte, 5, 5+9*len(elems))
+// arrayFrameLen is the wire size of an n-element array: a kind byte, a
+// little-endian element count, then each element's scalar frame.
+func arrayFrameLen(n int) int { return 5 + scalarFrameLen*n }
+
+// encodeArrayInto writes elems as an array frame into b, which must be
+// arrayFrameLen(len(elems)) bytes. Only numeric and bool elements travel.
+// For a live array the caller holds the machine's memory lock, so the frame
+// is a consistent view without an intermediate copy of the elements.
+func encodeArrayInto(b []byte, elems []Value) error {
 	b[0] = byte(KindArray)
 	binary.LittleEndian.PutUint32(b[1:], uint32(len(elems)))
-	for _, e := range elems {
-		switch e.Kind {
-		case KindInt, KindBool:
-			var s [9]byte
-			s[0] = byte(e.Kind)
-			binary.LittleEndian.PutUint64(s[1:], uint64(e.I))
-			b = append(b, s[:]...)
-		case KindFloat:
-			var s [9]byte
-			s[0] = byte(KindFloat)
-			binary.LittleEndian.PutUint64(s[1:], math.Float64bits(e.F))
-			b = append(b, s[:]...)
-		default:
-			return nil, fmt.Errorf("minic: cannot send an array containing a %s", e.Kind)
+	for i, e := range elems {
+		if !isScalarFrameKind(e.Kind) {
+			return errUnsendableElem(e.Kind)
 		}
+		f := b[5+scalarFrameLen*i:]
+		f[0] = byte(e.Kind)
+		binary.LittleEndian.PutUint64(f[1:], uint64(e.I))
 	}
-	return b, nil
+	return nil
 }
 
 func decodeArray(b []byte) (Value, error) {
@@ -394,21 +460,19 @@ func decodeArray(b []byte) (Value, error) {
 		return Value{}, fmt.Errorf("minic: truncated array message")
 	}
 	n := int(binary.LittleEndian.Uint32(b[1:]))
-	if n > maxSendElems || len(b) != 5+9*n {
+	if n > maxSendElems || len(b) != arrayFrameLen(n) {
 		return Value{}, fmt.Errorf("minic: bad array message: %d elements, %d bytes", n, len(b))
 	}
 	elems := make([]Value, n)
 	for i := range elems {
-		e, err := decodeValue(b[5+9*i : 5+9*(i+1)])
-		if err != nil {
-			return Value{}, err
+		f := b[5+scalarFrameLen*i:]
+		kind := ValueKind(f[0])
+		if !isScalarFrameKind(kind) {
+			return Value{}, fmt.Errorf("minic: bad array element kind %s", kind)
 		}
-		if e.Kind != KindInt && e.Kind != KindBool && e.Kind != KindFloat {
-			return Value{}, fmt.Errorf("minic: bad array element kind %s", e.Kind)
-		}
-		elems[i] = e
+		elems[i] = Value{Kind: kind, I: int64(binary.LittleEndian.Uint64(f[1:]))}
 	}
-	return Value{Kind: KindArray, Arr: &Array{Elems: elems}}, nil
+	return ArrayValue(elems), nil
 }
 
 func decodeValue(b []byte) (Value, error) {
@@ -416,20 +480,15 @@ func decodeValue(b []byte) (Value, error) {
 		return Value{}, fmt.Errorf("minic: empty message")
 	}
 	kind := ValueKind(b[0])
-	switch kind {
-	case KindInt, KindBool:
-		if len(b) != 9 {
-			return Value{}, fmt.Errorf("minic: bad int message length %d", len(b))
+	switch {
+	case isScalarFrameKind(kind):
+		if len(b) != scalarFrameLen {
+			return Value{}, fmt.Errorf("minic: bad %s message length %d", kind, len(b))
 		}
 		return Value{Kind: kind, I: int64(binary.LittleEndian.Uint64(b[1:]))}, nil
-	case KindFloat:
-		if len(b) != 9 {
-			return Value{}, fmt.Errorf("minic: bad float message length %d", len(b))
-		}
-		return FloatValue(math.Float64frombits(binary.LittleEndian.Uint64(b[1:]))), nil
-	case KindString:
+	case kind == KindString:
 		return StringValue(string(b[1:])), nil
-	case KindArray:
+	case kind == KindArray:
 		return decodeArray(b)
 	default:
 		return Value{}, fmt.Errorf("minic: undecodable message kind %d", b[0])

@@ -35,12 +35,16 @@ type MPIHooks interface {
 	Recv(src int) ([]byte, error)
 	// Barrier blocks until all ranks arrive.
 	Barrier() error
-	// Bcast distributes root's payload; all ranks receive it.
+	// Bcast distributes root's payload; all ranks receive it. When Size
+	// is above 1, ranks other than root pass nil. The result, like Recv's,
+	// is read before the next call, so it may be a reused buffer.
 	Bcast(root int, data []byte) ([]byte, error)
 	// AllReduce combines v across ranks with op "sum", "max" or "min".
 	AllReduce(op string, v float64) (float64, error)
 	// AllReduceFloats combines whole vectors element-wise in one collective,
 	// so array reductions cost one message per edge, not one per element.
+	// The vector hooks may return v itself but must not keep it: the VM
+	// reuses v once the result has been read.
 	AllReduceFloats(op string, v []float64) ([]float64, error)
 	// GatherFloats concatenates each rank's vector at root in rank order;
 	// other ranks receive nil.
@@ -129,7 +133,8 @@ type Machine struct {
 
 	outMu sync.Mutex
 	out   io.Writer
-	in    *bufio.Reader
+	inSrc io.Reader
+	in    *bufio.Reader // created by the first readline() call
 	inMu  sync.Mutex
 
 	memMu   sync.Mutex // guards globals and array elements
@@ -137,8 +142,9 @@ type Machine struct {
 
 	steps    atomic.Int64
 	budget   int64
+	seed     int64
 	rngMu    sync.Mutex
-	rng      *rand.Rand
+	rng      *rand.Rand // created by the first random() call
 	threads  sync.WaitGroup
 	threadID atomic.Int64
 
@@ -168,10 +174,10 @@ func NewMachine(u *Unit, cfg MachineConfig) *Machine {
 		hooks:   cfg.Hooks,
 		ctx:     cfg.Ctx,
 		out:     cfg.Out,
-		in:      bufio.NewReader(cfg.In),
+		inSrc:   cfg.In,
 		globals: make([]Value, len(u.Globals)),
 		budget:  cfg.StepBudget,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		seed:    cfg.Seed,
 	}
 }
 
@@ -506,17 +512,18 @@ func (m *Machine) indexGet(arr, idx Value, line int) (Value, error) {
 	}
 	switch arr.Kind {
 	case KindArray:
+		if idx.I < 0 || idx.I >= arr.I {
+			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, arr.I)
+		}
 		m.memMu.Lock()
-		defer m.memMu.Unlock()
-		if idx.I < 0 || idx.I >= int64(len(arr.Arr.Elems)) {
-			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(arr.Arr.Elems))
-		}
-		return arr.Arr.Elems[idx.I], nil
+		v := arr.Arr()[idx.I]
+		m.memMu.Unlock()
+		return v, nil
 	case KindString:
-		if idx.I < 0 || idx.I >= int64(len(arr.S)) {
-			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(arr.S))
+		if idx.I < 0 || idx.I >= arr.I {
+			return Value{}, errAt(line, 0, "index %d out of range [0,%d)", idx.I, arr.I)
 		}
-		return StringValue(string(arr.S[idx.I])), nil
+		return StringValue(string(arr.S()[idx.I])), nil
 	default:
 		return Value{}, errAt(line, 0, "cannot index a %s", arr.Kind)
 	}
@@ -529,12 +536,12 @@ func (m *Machine) indexSet(arr, idx, val Value, line int) error {
 	if idx.Kind != KindInt {
 		return errAt(line, 0, "array index is %s, not int", idx.Kind)
 	}
-	m.memMu.Lock()
-	defer m.memMu.Unlock()
-	if idx.I < 0 || idx.I >= int64(len(arr.Arr.Elems)) {
-		return errAt(line, 0, "index %d out of range [0,%d)", idx.I, len(arr.Arr.Elems))
+	if idx.I < 0 || idx.I >= arr.I {
+		return errAt(line, 0, "index %d out of range [0,%d)", idx.I, arr.I)
 	}
-	arr.Arr.Elems[idx.I] = val
+	m.memMu.Lock()
+	arr.Arr()[idx.I] = val
+	m.memMu.Unlock()
 	return nil
 }
 
@@ -551,7 +558,7 @@ func (m *Machine) spawn(fi int, args []Value) Value {
 			m.recordErr(fmt.Errorf("thread %d: %w", t.id, err))
 		}
 	}()
-	return Value{Kind: KindThread, I: t.id, Th: t}
+	return threadValue(t)
 }
 
 // --- builtins ----------------------------------------------------------------
@@ -616,18 +623,25 @@ func init() {
 	}
 }
 
+// printArgs writes one print or println call as a single Write, so output
+// from ranks sharing a job's stdout cannot interleave inside a call.
 func (m *Machine) printArgs(args []Value, nl bool) {
-	m.outMu.Lock()
-	defer m.outMu.Unlock()
+	var line []byte
 	for i, a := range args {
 		if i > 0 {
-			io.WriteString(m.out, " ")
+			line = append(line, ' ')
 		}
-		io.WriteString(m.out, a.String())
+		line = append(line, a.String()...)
 	}
 	if nl {
-		io.WriteString(m.out, "\n")
+		line = append(line, '\n')
 	}
+	if len(line) == 0 {
+		return
+	}
+	m.outMu.Lock()
+	defer m.outMu.Unlock()
+	m.out.Write(line)
 }
 
 func biPrint(m *Machine, args []Value, _ int) (Value, error) {
@@ -640,15 +654,11 @@ func biPrintln(m *Machine, args []Value, _ int) (Value, error) {
 	return UnitValue(), nil
 }
 
-func biLen(m *Machine, args []Value, line int) (Value, error) {
+func biLen(_ *Machine, args []Value, line int) (Value, error) {
 	switch args[0].Kind {
-	case KindString:
-		return IntValue(int64(len(args[0].S))), nil
-	case KindArray:
-		m.memMu.Lock()
-		n := len(args[0].Arr.Elems)
-		m.memMu.Unlock()
-		return IntValue(int64(n)), nil
+	case KindString, KindArray:
+		// Both carry their length in I; an array's never changes.
+		return IntValue(args[0].I), nil
 	default:
 		return Value{}, errAt(line, 0, "len of %s", args[0].Kind)
 	}
@@ -665,16 +675,16 @@ func biArray(m *Machine, args []Value, line int) (Value, error) {
 	for i := range elems {
 		elems[i] = IntValue(0)
 	}
-	return Value{Kind: KindArray, Arr: &Array{Elems: elems}}, nil
+	return ArrayValue(elems), nil
 }
 
 func biAtoi(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindString {
 		return Value{}, errAt(line, 0, "atoi needs a string")
 	}
-	n, err := strconv.ParseInt(strings.TrimSpace(args[0].S), 10, 64)
+	n, err := strconv.ParseInt(strings.TrimSpace(args[0].S()), 10, 64)
 	if err != nil {
-		return Value{}, errAt(line, 0, "atoi(%q): not a number", args[0].S)
+		return Value{}, errAt(line, 0, "atoi(%q): not a number", args[0].S())
 	}
 	return IntValue(n), nil
 }
@@ -691,7 +701,7 @@ func biInt(_ *Machine, args []Value, line int) (Value, error) {
 	case KindInt:
 		return args[0], nil
 	case KindFloat:
-		return IntValue(int64(args[0].F)), nil
+		return IntValue(int64(args[0].F())), nil
 	case KindBool:
 		return IntValue(args[0].I), nil
 	default:
@@ -715,7 +725,7 @@ func biAbs(_ *Machine, args []Value, line int) (Value, error) {
 		}
 		return args[0], nil
 	case KindFloat:
-		return FloatValue(math.Abs(args[0].F)), nil
+		return FloatValue(math.Abs(args[0].F())), nil
 	default:
 		return Value{}, errAt(line, 0, "abs(%s)", args[0].Kind)
 	}
@@ -756,6 +766,9 @@ func biSqrt(_ *Machine, args []Value, line int) (Value, error) {
 func biReadline(m *Machine, _ []Value, _ int) (Value, error) {
 	m.inMu.Lock()
 	defer m.inMu.Unlock()
+	if m.in == nil {
+		m.in = bufio.NewReader(m.inSrc)
+	}
 	line, err := m.in.ReadString('\n')
 	if err != nil && line == "" {
 		return StringValue(""), nil // EOF → empty string
@@ -768,6 +781,9 @@ func biRandom(m *Machine, args []Value, line int) (Value, error) {
 		return Value{}, errAt(line, 0, "random needs a positive int bound")
 	}
 	m.rngMu.Lock()
+	if m.rng == nil {
+		m.rng = rand.New(rand.NewSource(m.seed))
+	}
 	v := m.rng.Int63n(args[0].I)
 	m.rngMu.Unlock()
 	return IntValue(v), nil
@@ -791,22 +807,41 @@ func biSize(m *Machine, _ []Value, _ int) (Value, error) {
 	return IntValue(int64(m.hooks.Size())), nil
 }
 
-// snapshotArray copies an array's elements under the memory lock, so a
-// message carries a consistent view even while sibling threads mutate it.
-func (m *Machine) snapshotArray(a *Array) []Value {
+// encodeForSend serializes any sendable value. An array is encoded straight
+// into its wire frame under the memory lock, so a message carries a
+// consistent view even while sibling threads mutate it.
+func (m *Machine) encodeForSend(v Value) ([]byte, error) {
+	if v.Kind != KindArray {
+		return encodeValue(v)
+	}
+	b := make([]byte, arrayFrameLen(int(v.I)))
 	m.memMu.Lock()
-	elems := append([]Value(nil), a.Elems...)
+	err := encodeArrayInto(b, v.Arr())
 	m.memMu.Unlock()
-	return elems
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
-// encodeForSend serializes any sendable value, snapshotting arrays under the
-// memory lock first.
-func (m *Machine) encodeForSend(v Value) ([]byte, error) {
-	if v.Kind == KindArray {
-		return encodeArray(m.snapshotArray(v.Arr))
+// checkSendable reports the error encodeForSend would give for v, without
+// encoding it.
+func (m *Machine) checkSendable(v Value) error {
+	switch {
+	case v.Kind == KindArray:
+		m.memMu.Lock()
+		defer m.memMu.Unlock()
+		for _, e := range v.Arr() {
+			if !isScalarFrameKind(e.Kind) {
+				return errUnsendableElem(e.Kind)
+			}
+		}
+		return nil
+	case v.Kind == KindString || isScalarFrameKind(v.Kind):
+		return nil
+	default:
+		return errUnsendable(v.Kind)
 	}
-	return encodeValue(v)
 }
 
 func biSend(m *Machine, args []Value, line int) (Value, error) {
@@ -849,11 +884,20 @@ func biBcast(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindInt {
 		return Value{}, errAt(line, 0, "bcast root must be an int rank")
 	}
-	data, err := m.encodeForSend(args[1])
+	root := int(args[0].I)
+	var data []byte
+	var err error
+	if m.hooks.Size() > 1 && m.hooks.Rank() != root {
+		// Only the root's payload travels; the others just check that
+		// theirs could, so every rank reports the same errors as the root.
+		err = m.checkSendable(args[1])
+	} else {
+		data, err = m.encodeForSend(args[1])
+	}
 	if err != nil {
 		return Value{}, errAt(line, 0, "%v", err)
 	}
-	out, err := m.hooks.Bcast(int(args[0].I), data)
+	out, err := m.hooks.Bcast(root, data)
 	if err != nil {
 		return Value{}, errAt(line, 0, "bcast: %v", err)
 	}
@@ -867,31 +911,28 @@ func biBcast(m *Machine, args []Value, line int) (Value, error) {
 func reduceWith(m *Machine, op string, args []Value, line int) (Value, error) {
 	if args[0].Kind == KindArray {
 		// Whole-array reduction travels as one vector collective instead of
-		// one message per element.
-		elems := m.snapshotArray(args[0].Arr)
-		vec := make([]float64, len(elems))
-		for i, e := range elems {
-			f, ok := e.numeric()
-			if !ok {
-				return Value{}, errAt(line, 0, "reduce needs numeric array elements, got %s", e.Kind)
-			}
-			vec[i] = f
+		// one message per element. Each result element's kind follows the
+		// local element, like the scalar rule below, so the kinds are
+		// recorded into the result under the same lock as the values.
+		res := make([]Value, args[0].I)
+		buf := getFloats()
+		defer floatScratch.Put(buf)
+		vec, bad, ok := m.readFloats(args[0], buf, res)
+		if !ok {
+			return Value{}, errAt(line, 0, "reduce needs numeric array elements, got %s", bad)
 		}
 		out, err := m.hooks.AllReduceFloats(op, vec)
 		if err != nil {
 			return Value{}, errAt(line, 0, "reduce: %v", err)
 		}
-		res := make([]Value, len(elems))
-		for i := range res {
-			// Element result kind follows the local element, like the
-			// scalar rule below.
-			if elems[i].Kind == KindInt {
-				res[i] = IntValue(int64(out[i]))
+		for i, f := range out {
+			if res[i].Kind == KindInt {
+				res[i].I = int64(f)
 			} else {
-				res[i] = FloatValue(out[i])
+				res[i] = FloatValue(f)
 			}
 		}
-		return Value{Kind: KindArray, Arr: &Array{Elems: res}}, nil
+		return ArrayValue(res), nil
 	}
 	f, ok := args[0].numeric()
 	if !ok {
@@ -907,18 +948,46 @@ func reduceWith(m *Machine, op string, args []Value, line int) (Value, error) {
 	return FloatValue(out), nil
 }
 
-// floatVec flattens a numeric scalar or array argument into a float vector
-// for the vector collectives.
-func (m *Machine) floatVec(v Value, line int) ([]float64, error) {
+// floatScratch recycles the float vectors the array collectives hand to the
+// hooks. A vector is dead once the collective's result has been copied into
+// Values, so each builtin puts its vector back before it returns.
+var floatScratch = sync.Pool{New: func() any { return new([]float64) }}
+
+func getFloats() *[]float64 { return floatScratch.Get().(*[]float64) }
+
+// readFloats reads a numeric array's elements straight into *buf, grown as
+// needed, under the memory lock — one consistent view, no element copy. When
+// kinds is non-nil (same length as the array) it also receives each
+// element's kind. On a non-numeric element it reports that element's kind
+// and false.
+func (m *Machine) readFloats(arr Value, buf *[]float64, kinds []Value) ([]float64, ValueKind, bool) {
+	n := int(arr.I)
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	vec := (*buf)[:n]
+	m.memMu.Lock()
+	defer m.memMu.Unlock()
+	for i, e := range arr.Arr() {
+		f, ok := e.numeric()
+		if !ok {
+			return nil, e.Kind, false
+		}
+		vec[i] = f
+		if kinds != nil {
+			kinds[i].Kind = e.Kind
+		}
+	}
+	return vec, 0, true
+}
+
+// floatVec flattens a numeric scalar or array argument into *buf for the
+// vector collectives.
+func (m *Machine) floatVec(v Value, buf *[]float64, line int) ([]float64, error) {
 	if v.Kind == KindArray {
-		elems := m.snapshotArray(v.Arr)
-		vec := make([]float64, len(elems))
-		for i, e := range elems {
-			f, ok := e.numeric()
-			if !ok {
-				return nil, errAt(line, 0, "collective needs numeric array elements, got %s", e.Kind)
-			}
-			vec[i] = f
+		vec, bad, ok := m.readFloats(v, buf, nil)
+		if !ok {
+			return nil, errAt(line, 0, "collective needs numeric array elements, got %s", bad)
 		}
 		return vec, nil
 	}
@@ -926,7 +995,8 @@ func (m *Machine) floatVec(v Value, line int) ([]float64, error) {
 	if !ok {
 		return nil, errAt(line, 0, "collective needs a numeric value, got %s", v.Kind)
 	}
-	return []float64{f}, nil
+	*buf = append((*buf)[:0], f)
+	return *buf, nil
 }
 
 func floatArray(vec []float64) Value {
@@ -934,14 +1004,16 @@ func floatArray(vec []float64) Value {
 	for i, f := range vec {
 		elems[i] = FloatValue(f)
 	}
-	return Value{Kind: KindArray, Arr: &Array{Elems: elems}}
+	return ArrayValue(elems)
 }
 
 func biGather(m *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindInt {
 		return Value{}, errAt(line, 0, "gather root must be an int rank")
 	}
-	vec, err := m.floatVec(args[1], line)
+	buf := getFloats()
+	defer floatScratch.Put(buf)
+	vec, err := m.floatVec(args[1], buf, line)
 	if err != nil {
 		return Value{}, err
 	}
@@ -960,8 +1032,10 @@ func biScatter(m *Machine, args []Value, line int) (Value, error) {
 	}
 	var vec []float64
 	if m.hooks.Rank() == int(args[0].I) {
+		buf := getFloats()
+		defer floatScratch.Put(buf)
 		var err error
-		vec, err = m.floatVec(args[1], line)
+		vec, err = m.floatVec(args[1], buf, line)
 		if err != nil {
 			return Value{}, err
 		}
@@ -999,14 +1073,14 @@ func biWorkNS(m *Machine, args []Value, line int) (Value, error) {
 }
 
 func biMutex(_ *Machine, _ []Value, _ int) (Value, error) {
-	return Value{Kind: KindMutex, Mu: &sync.Mutex{}}, nil
+	return mutexValue(&sync.Mutex{}), nil
 }
 
 func biLock(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindMutex {
 		return Value{}, errAt(line, 0, "lock needs a mutex, got %s", args[0].Kind)
 	}
-	args[0].Mu.Lock()
+	args[0].Mu().Lock()
 	return UnitValue(), nil
 }
 
@@ -1014,7 +1088,7 @@ func biUnlock(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindMutex {
 		return Value{}, errAt(line, 0, "unlock needs a mutex, got %s", args[0].Kind)
 	}
-	args[0].Mu.Unlock()
+	args[0].Mu().Unlock()
 	return UnitValue(), nil
 }
 
@@ -1022,14 +1096,14 @@ func biSem(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindInt || args[0].I < 0 {
 		return Value{}, errAt(line, 0, "sem needs a non-negative initial value")
 	}
-	return Value{Kind: KindSem, Sem: primitives.NewSemaphore(int(args[0].I))}, nil
+	return semValue(primitives.NewSemaphore(int(args[0].I))), nil
 }
 
 func biSemWait(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindSem {
 		return Value{}, errAt(line, 0, "sem_wait needs a semaphore")
 	}
-	args[0].Sem.Wait()
+	args[0].Sem().Wait()
 	return UnitValue(), nil
 }
 
@@ -1037,7 +1111,7 @@ func biSemSignal(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindSem {
 		return Value{}, errAt(line, 0, "sem_signal needs a semaphore")
 	}
-	args[0].Sem.Signal()
+	args[0].Sem().Signal()
 	return UnitValue(), nil
 }
 
@@ -1045,18 +1119,19 @@ func biSemTryWait(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindSem {
 		return Value{}, errAt(line, 0, "sem_trywait needs a semaphore")
 	}
-	return BoolValue(args[0].Sem.TryWait()), nil
+	return BoolValue(args[0].Sem().TryWait()), nil
 }
 
 func biJoin(_ *Machine, args []Value, line int) (Value, error) {
 	if args[0].Kind != KindThread {
 		return Value{}, errAt(line, 0, "join needs a thread handle, got %s", args[0].Kind)
 	}
-	<-args[0].Th.done
-	if args[0].Th.err != nil {
-		return Value{}, args[0].Th.err
+	th := args[0].Th()
+	<-th.done
+	if th.err != nil {
+		return Value{}, th.err
 	}
-	return args[0].Th.result, nil
+	return th.result, nil
 }
 
 func biYield(_ *Machine, _ []Value, _ int) (Value, error) {

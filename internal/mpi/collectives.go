@@ -78,9 +78,9 @@ func (c *Comm) bcastBytesGroup(g []int, lpos, pos, tag int, data []byte) (messag
 // reduceVecGroup folds the members' vectors into the member at position lpos
 // with op, binomially: children fold into parents over log2(n) rounds. All
 // members pass equal-length v; v is used as the accumulator in place (so
-// non-root contents are clobbered), tmp is caller-provided scratch of the
-// same length.
-func (c *Comm) reduceVecGroup(g []int, lpos, pos int, op Op, v, tmp []float64) error {
+// non-root contents are clobbered). *tmp is the caller's fold scratch of
+// the same length, made on the first receive so leaves never allocate it.
+func (c *Comm) reduceVecGroup(g []int, lpos, pos int, op Op, v []float64, tmp *[]float64) error {
 	n := len(g)
 	if n <= 1 {
 		return nil
@@ -92,10 +92,13 @@ func (c *Comm) reduceVecGroup(g []int, lpos, pos int, op Op, v, tmp []float64) e
 			return c.SendFloats(g[parent], tagReduce, v)
 		}
 		if child := vp | bit; child < n {
-			if err := c.recvFloatsInto(g[(child+lpos)%n], tagReduce, tmp); err != nil {
+			if *tmp == nil {
+				*tmp = make([]float64, len(v))
+			}
+			if err := c.recvFloatsInto(g[(child+lpos)%n], tagReduce, *tmp); err != nil {
 				return err
 			}
-			reduceInto(op, v, tmp)
+			reduceInto(op, v, *tmp)
 		}
 	}
 	return nil
@@ -294,6 +297,13 @@ func (c *Comm) bcastBytesHier(root int, buf []byte) (message, error) {
 // receive the payload as the return value (root gets its own buf back,
 // other ranks a freshly allocated copy they own).
 func (c *Comm) Bcast(root int, buf []byte) ([]byte, error) {
+	return c.BcastInto(root, buf, nil)
+}
+
+// BcastInto is Bcast without the allocation at non-root ranks: the payload
+// is appended to dst[:0], reusing dst's backing array when its capacity
+// suffices, and the resulting slice is returned. The root gets buf back.
+func (c *Comm) BcastInto(root int, buf, dst []byte) ([]byte, error) {
 	w := c.world
 	if root < 0 || root >= w.size {
 		return nil, fmt.Errorf("%w: root %d", ErrBadRank, root)
@@ -305,8 +315,7 @@ func (c *Comm) Bcast(root int, buf []byte) ([]byte, error) {
 	if m.pooled == nil {
 		return m.data, nil
 	}
-	out := make([]byte, len(m.data))
-	copy(out, m.data)
+	out := append(dst[:0], m.data...)
 	m.release()
 	return out, nil
 }
@@ -391,10 +400,10 @@ func (c *Comm) reduceVec(root int, op Op, v []float64) error {
 	if w.size == 1 {
 		return nil
 	}
-	tmp := make([]float64, len(v))
+	var tmp []float64 // fold scratch, made only by ranks that receive
 	switch w.algo {
 	case Tree:
-		return c.reduceVecGroup(w.allRanks, root, c.rank, op, v, tmp)
+		return c.reduceVecGroup(w.allRanks, root, c.rank, op, v, &tmp)
 	case Hier:
 		h := w.hier
 		gi := h.groupOf[c.rank]
@@ -406,18 +415,19 @@ func (c *Comm) reduceVec(root int, op Op, v []float64) error {
 			if gi == rg {
 				lpos = h.posInGroup[root]
 			}
-			if err := c.reduceVecGroup(g, lpos, h.posInGroup[c.rank], op, v, tmp); err != nil {
+			if err := c.reduceVecGroup(g, lpos, h.posInGroup[c.rank], op, v, &tmp); err != nil {
 				return err
 			}
 		}
 		if leaders[gi] == c.rank && len(leaders) > 1 {
-			return c.reduceVecGroup(leaders, rg, gi, op, v, tmp)
+			return c.reduceVecGroup(leaders, rg, gi, op, v, &tmp)
 		}
 		return nil
 	default:
 		if c.rank != root {
 			return c.SendFloats(root, tagReduce, v)
 		}
+		tmp = make([]float64, len(v))
 		for r := 0; r < w.size; r++ {
 			if r == root {
 				continue

@@ -140,11 +140,14 @@ type World struct {
 	overhead time.Duration
 	done     <-chan struct{} // nil (blocks forever) unless Options.Ctx is set
 
-	// queues[src][dst] carries messages; buffered so sends are async up to
-	// the buffer depth, like a real MPI eager protocol. The channels are
+	// queues[src*size+dst] carries messages; buffered so sends are async up
+	// to the buffer depth, like a real MPI eager protocol. A queue is made on
+	// first use (see queue), since most programs talk over a few of the
+	// size² pairs and each buffer costs depth messages. The channels are
 	// never closed — Close signals through closeCh instead, so a sender
 	// that raced past the closed check can never panic on a closed channel.
-	queues [][]chan message
+	queues []atomic.Pointer[chan message]
+	depth  int
 
 	closed    atomic.Bool
 	closeCh   chan struct{}
@@ -213,15 +216,10 @@ func New(grid *topology.Grid, places []topology.NodeID, opts Options) (*World, e
 		algo:     opts.Algorithm,
 		overhead: overhead,
 		done:     done,
-		queues:   make([][]chan message, size),
+		queues:   make([]atomic.Pointer[chan message], size*size),
+		depth:    depth,
 		closeCh:  make(chan struct{}),
 		comms:    make([]*Comm, size),
-	}
-	for i := range w.queues {
-		w.queues[i] = make([]chan message, size)
-		for j := range w.queues[i] {
-			w.queues[i][j] = make(chan message, depth)
-		}
 	}
 	w.allRanks = make([]int, size)
 	for r := 0; r < size; r++ {
@@ -244,6 +242,20 @@ func New(grid *topology.Grid, places []topology.NodeID, opts Options) (*World, e
 		w.hier = plan
 	}
 	return w, nil
+}
+
+// queue returns the src→dst channel, making it on first use. Sender and
+// receiver may race to make it; the first store wins and both use that one.
+func (w *World) queue(src, dst int) chan message {
+	slot := &w.queues[src*w.size+dst]
+	if q := slot.Load(); q != nil {
+		return *q
+	}
+	q := make(chan message, w.depth)
+	if slot.CompareAndSwap(nil, &q) {
+		return q
+	}
+	return *slot.Load()
 }
 
 // Size returns the number of ranks.
@@ -281,16 +293,18 @@ func (w *World) Close() {
 		// Reclaim payload leases still parked in the queues. A sender that
 		// already passed the closed check may deposit one more message after
 		// this sweep; it is simply left to the GC.
-		for _, row := range w.queues {
-			for _, q := range row {
-			drain:
-				for {
-					select {
-					case m := <-q:
-						m.release()
-					default:
-						break drain
-					}
+		for i := range w.queues {
+			q := w.queues[i].Load()
+			if q == nil {
+				continue
+			}
+		drain:
+			for {
+				select {
+				case m := <-*q:
+					m.release()
+				default:
+					break drain
 				}
 			}
 		}
@@ -387,7 +401,7 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 func (c *Comm) deliver(dst int, m message, nbytes int64) error {
 	w := c.world
 	m.sendTime = time.Duration(c.vtime.Add(int64(w.overhead)))
-	q := w.queues[c.rank][dst]
+	q := w.queue(c.rank, dst)
 	select {
 	case q <- m:
 	default:
@@ -414,7 +428,7 @@ func (c *Comm) recvMsg(src, tag int) (message, error) {
 	if src < 0 || src >= w.size {
 		return message{}, fmt.Errorf("%w: src %d", ErrBadRank, src)
 	}
-	q := w.queues[src][c.rank]
+	q := w.queue(src, c.rank)
 	var m message
 	select {
 	case m = <-q:

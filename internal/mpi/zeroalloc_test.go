@@ -1,9 +1,12 @@
 package mpi
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestP2PSteadyStateZeroAlloc is the data-plane contract this package is
@@ -85,5 +88,78 @@ func TestCloseSendChurn(t *testing.T) {
 		}
 		w.Close()
 		wg.Wait()
+	}
+}
+
+// TestBcastIntoSteadyStateZeroAlloc: a non-root rank that broadcasts into a
+// reused buffer allocates nothing once the pool and its queue are warm. In
+// a 2-rank world the root's eager send returns at once, so both sides run
+// on one goroutine, as AllocsPerRun requires. Hier is left out: it builds
+// its per-root leader list on every call.
+func TestBcastIntoSteadyStateZeroAlloc(t *testing.T) {
+	for _, algo := range []Algorithm{Linear, Tree} {
+		w := newWorld(t, 2, Options{Algorithm: algo})
+		root, _ := w.Comm(0)
+		c, _ := w.Comm(1)
+		payload := make([]byte, 1024)
+		var buf []byte
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := root.BcastInto(0, payload, nil); err != nil {
+				t.Fatal(err)
+			}
+			out, err := c.BcastInto(0, nil, buf)
+			if err != nil || len(out) != len(payload) {
+				t.Fatalf("%v: BcastInto = %d bytes, %v", algo, len(out), err)
+			}
+			buf = out
+		})
+		if allocs != 0 {
+			t.Fatalf("%v: BcastInto steady state allocates %.1f per op, want 0", algo, allocs)
+		}
+	}
+}
+
+// TestNewMakesQueuesLazily: New allocates per rank, not per rank pair; a
+// pair's FIFO appears only when one side first uses it.
+func TestNewMakesQueuesLazily(t *testing.T) {
+	g := testGrid(t)
+	const n = 64
+	places := placeRanks(g, n)
+	allocs := testing.AllocsPerRun(20, func() {
+		w, err := New(g, places, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+	})
+	if allocs > 2*n {
+		t.Fatalf("New(%d ranks) makes %.0f allocations, want <= %d (no per-pair queues)", n, allocs, 2*n)
+	}
+}
+
+// TestQueueFirstUseRace starts sender and receiver of a fresh pair at the
+// same moment, so both race to make its FIFO; they must agree on one. A
+// lost race would strand the message in a queue the receiver never reads,
+// and the receive would hang until the world's deadline. Run under -race.
+func TestQueueFirstUseRace(t *testing.T) {
+	g := testGrid(t)
+	for round := 0; round < 200; round++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		w, err := New(g, placeRanks(g, 2), Options{Ctx: ctx})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runRanks(t, w, func(c *Comm) error {
+			if c.Rank() == 0 {
+				return c.Send(1, 3, []byte{byte(round)})
+			}
+			b, err := c.Recv(0, 3)
+			if err == nil && (len(b) != 1 || b[0] != byte(round)) {
+				err = fmt.Errorf("round %d: got %v", round, b)
+			}
+			return err
+		})
+		w.Close()
+		cancel()
 	}
 }

@@ -24,7 +24,7 @@ const drainGrace = 2 * time.Second
 // commHooks adapts an mpi.Comm to the minic VM's MPIHooks interface, so a
 // program's rank()/send()/recv()/barrier() builtins talk to the simulated
 // grid. Each rank's VM owns one instance; recvBuf is reused across receives
-// so steady-state point-to-point traffic stays allocation-free in the mpi
+// and broadcasts so steady-state traffic stays allocation-free in the mpi
 // layer (the decoded minic Value is the only per-message allocation left).
 type commHooks struct {
 	c       *mpi.Comm
@@ -47,7 +47,16 @@ func (h *commHooks) Recv(src int) ([]byte, error) {
 
 func (h *commHooks) Barrier() error { return h.c.Barrier() }
 
-func (h *commHooks) Bcast(root int, data []byte) ([]byte, error) { return h.c.Bcast(root, data) }
+func (h *commHooks) Bcast(root int, data []byte) ([]byte, error) {
+	out, err := h.c.BcastInto(root, data, h.recvBuf)
+	if err != nil {
+		return nil, err
+	}
+	if h.c.Rank() != root {
+		h.recvBuf = out
+	}
+	return out, nil
+}
 
 func mpiOp(op string) (mpi.Op, error) {
 	switch op {
