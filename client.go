@@ -248,26 +248,12 @@ func (c *Client) Upload(path string, content []byte) error {
 
 // Download fetches a file's contents.
 func (c *Client) Download(path string) ([]byte, error) {
-	req, err := http.NewRequest("GET", c.BaseURL+"/api/files/content?path="+url.QueryEscape(path), nil)
-	if err != nil {
-		return nil, err
-	}
-	if c.token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.token)
-	}
-	res, err := c.httpClient().Do(req)
+	res, err := c.send(context.Background(), "GET", "/api/files/content?path="+url.QueryEscape(path), nil, "")
 	if err != nil {
 		return nil, err
 	}
 	defer res.Body.Close()
-	data, err := io.ReadAll(res.Body)
-	if err != nil {
-		return nil, err
-	}
-	if res.StatusCode >= 400 {
-		return nil, fmt.Errorf("ccportal: download %s: HTTP %d", path, res.StatusCode)
-	}
-	return data, nil
+	return io.ReadAll(res.Body)
 }
 
 // Mkdir creates a directory (and parents).
@@ -442,29 +428,6 @@ type JobTrace struct {
 func (c *Client) Trace(id string) (JobTrace, error) {
 	var out JobTrace
 	err := c.do("GET", "/api/jobs/"+id+"/trace", nil, &out)
-	return out, err
-}
-
-// OutputChunk is a slice of a job's merged stdout, as returned by the
-// compatibility long-poll endpoint. Dropped counts bytes between the
-// requested offset and Data that aged out of the server's retention ring
-// before they were read.
-type OutputChunk struct {
-	Data    string `json:"data"`
-	Next    int64  `json:"next"`
-	Done    bool   `json:"done"`
-	Dropped int64  `json:"dropped"`
-	State   string `json:"state"`
-}
-
-// Output reads the job's stdout from the given offset.
-//
-// Deprecated: Output polls the compatibility endpoint; new code should use
-// Watch, which pushes events over one connection and reports drops per
-// event.
-func (c *Client) Output(id string, offset int64) (OutputChunk, error) {
-	var out OutputChunk
-	err := c.do("GET", fmt.Sprintf("/api/jobs/%s/output?offset=%d", id, offset), nil, &out)
 	return out, err
 }
 

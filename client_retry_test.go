@@ -204,3 +204,47 @@ func TestWatchRetryWaitHonoursContext(t *testing.T) {
 		t.Fatalf("cancelled Watch returned after %v, want well under the 1s Retry-After", elapsed)
 	}
 }
+
+// TestDownloadRetriesAfter429: Download rides the shared retry policy, so a
+// throttled first attempt is retried and the caller gets the file's bytes.
+func TestDownloadRetriesAfter429(t *testing.T) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if hits.Add(1) == 1 {
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(http.StatusTooManyRequests)
+			io.WriteString(w, rateLimitedBody)
+			return
+		}
+		if r.URL.Path != "/api/files/content" || r.URL.Query().Get("path") != "/prog.mc" {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		io.WriteString(w, "func main() { }")
+	}))
+	defer srv.Close()
+
+	data, err := NewClient(srv.URL).Download("/prog.mc")
+	if err != nil || string(data) != "func main() { }" {
+		t.Fatalf("Download = %q, %v", data, err)
+	}
+	if got := hits.Load(); got != 2 {
+		t.Fatalf("server saw %d requests, want 2 (1 throttled + 1 success)", got)
+	}
+}
+
+// TestDownloadSurfacesAPIError: a failed download decodes the error
+// envelope into an *APIError, like every other call.
+func TestDownloadSurfacesAPIError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotFound)
+		io.WriteString(w, `{"error":{"code":"not_found","message":"no such file: /gone.mc"}}`)
+	}))
+	defer srv.Close()
+
+	_, err := NewClient(srv.URL).Download("/gone.mc")
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusNotFound || ae.Code != "not_found" {
+		t.Fatalf("Download error = %v, want *APIError not_found", err)
+	}
+}

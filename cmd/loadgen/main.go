@@ -448,8 +448,10 @@ func (r *runner) execute(o op, token string, rng *rand.Rand) outcome {
 			status, err = r.get("/api/jobs?limit=1", token)
 		}
 	case opWatch:
+		// The SSE body ends after the done event, so draining it reads the
+		// job's whole stream: a still-running job holds the request open.
 		if ref, ok := r.randomJob(rng); ok {
-			status, err = r.get("/api/jobs/"+ref.id+"/output?seq=0", ref.token)
+			status, err = r.get("/api/jobs/"+ref.id+"/events?seq=0", ref.token)
 		} else {
 			status, err = r.get("/api/jobs?limit=1", token)
 		}

@@ -4,7 +4,9 @@
 // Usage:
 //
 //	portald [-config portal.json] [-addr :8080] [-policy pack|spread]
-//	        [-backfill] [-log info] [-admin user:password] [-pprof :6060]
+//	        [-backfill] [-collectives linear|tree|hier] [-log info]
+//	        [-admin user:password] [-data-dir dir] [-fsync always|interval|never]
+//	        [-pprof :6060]
 package main
 
 import (
@@ -26,24 +28,22 @@ func main() {
 		addr       = flag.String("addr", "", "listen address override, e.g. :8080")
 		policy     = flag.String("policy", "pack", "node placement policy: pack or spread")
 		backfill   = flag.Bool("backfill", false, "let small jobs run past a blocked queue head")
-		tree       = flag.Bool("tree-collectives", false, "use binomial-tree MPI collectives (shorthand for -collectives tree)")
 		collective = flag.String("collectives", "", "MPI collective algorithm: linear, tree or hier")
 		logLevel   = flag.String("log", "info", "log level: debug, info, warn, error, off")
 		admin      = flag.String("admin", "", "bootstrap an admin account, as user:password")
-		statePath  = flag.String("state", "", "legacy JSON state file: load at boot, snapshot periodically")
 		dataDir    = flag.String("data-dir", "", "enable the durable data provider (WAL + snapshots) in this directory")
 		fsync      = flag.String("fsync", "", "WAL fsync policy override: always, interval or never")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060); empty disables")
 	)
 	flag.Parse()
 
-	if err := run(*configPath, *addr, *policy, *logLevel, *admin, *statePath, *dataDir, *fsync, *pprofAddr, *collective, *backfill, *tree); err != nil {
+	if err := run(*configPath, *addr, *policy, *logLevel, *admin, *dataDir, *fsync, *pprofAddr, *collective, *backfill); err != nil {
 		fmt.Fprintln(os.Stderr, "portald:", err)
 		os.Exit(1)
 	}
 }
 
-func run(configPath, addr, policy, logLevel, admin, statePath, dataDir, fsync, pprofAddr, collective string, backfill, tree bool) error {
+func run(configPath, addr, policy, logLevel, admin, dataDir, fsync, pprofAddr, collective string, backfill bool) error {
 	cfg := ccportal.DefaultConfig()
 	if configPath != "" {
 		loaded, err := ccportal.LoadConfig(configPath)
@@ -67,11 +67,10 @@ func run(configPath, addr, policy, logLevel, admin, statePath, dataDir, fsync, p
 		return err
 	}
 	sys, err := ccportal.New(cfg, ccportal.Options{
-		Policy:          policy,
-		Backfill:        backfill,
-		TreeCollectives: tree,
-		Collectives:     collective,
-		Logger:          logger,
+		Policy:      policy,
+		Backfill:    backfill,
+		Collectives: collective,
+		Logger:      logger,
 	})
 	if err != nil {
 		return err
@@ -87,37 +86,26 @@ func run(configPath, addr, policy, logLevel, admin, statePath, dataDir, fsync, p
 		logger.Infof("recovered in %v: %d snapshot bytes, %d WAL records replayed, %d jobs requeued",
 			stats.Elapsed, stats.SnapshotBytes, stats.Records, stats.Requeued)
 	}
-	if statePath != "" {
-		if err := sys.LoadStateFile(statePath); err != nil {
-			return fmt.Errorf("restoring %s: %w", statePath, err)
-		}
-		logger.Infof("state restored from %s", statePath)
-	}
 	if admin != "" {
 		user, pass, ok := splitColon(admin)
 		if !ok {
 			return fmt.Errorf("-admin needs user:password, got %q", admin)
 		}
 		if err := sys.Bootstrap(user, pass, ccportal.RoleAdmin); err != nil {
-			// A restored state may already contain the account.
+			// A recovered system may already contain the account.
 			logger.Warnf("bootstrap admin: %v", err)
 		} else {
 			logger.Infof("bootstrapped admin account %q", user)
 		}
 	}
-	// Graceful shutdown: on SIGINT/SIGTERM snapshot state (when configured)
-	// and drain the scheduler — in-flight jobs get the drain timeout to
-	// finish before they are cancelled — then exit.
+	// Graceful shutdown: on SIGINT/SIGTERM drain the scheduler — in-flight
+	// jobs get the drain timeout to finish before they are cancelled — then
+	// exit, folding the WAL into a final snapshot first when durable.
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		<-stop
 		logger.Infof("shutting down: draining in-flight jobs")
-		if statePath != "" {
-			if err := sys.SaveStateFile(statePath); err != nil {
-				logger.Errorf("final state snapshot: %v", err)
-			}
-		}
 		sys.Stop()
 		if cfg.Persistence.Mode == "durable" {
 			// Fold the WAL into a final snapshot, then release the provider.
@@ -130,18 +118,6 @@ func run(configPath, addr, policy, logLevel, admin, statePath, dataDir, fsync, p
 		}
 		os.Exit(0)
 	}()
-	if statePath != "" {
-		// Periodic snapshots of the legacy JSON state file.
-		go func() {
-			t := time.NewTicker(30 * time.Second)
-			defer t.Stop()
-			for range t.C {
-				if err := sys.SaveStateFile(statePath); err != nil {
-					logger.Errorf("state snapshot: %v", err)
-				}
-			}
-		}()
-	}
 	if cfg.Persistence.Mode == "durable" && cfg.Persistence.SnapshotInterval > 0 {
 		// Periodic WAL folding: compact finished jobs past the retention
 		// limit and truncate the log so recovery time stays bounded.

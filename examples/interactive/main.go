@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http/httptest"
@@ -61,17 +62,30 @@ func main() {
 
 	// Binary search against the program, reading its stream as we go —
 	// the automated version of a student typing into the job monitor.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	watch, err := client.Watch(ctx, job.ID)
+	must(err)
+	defer watch.Close()
 	lo, hi := 1, 100
-	var offset int64
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		chunk, err := client.Output(job.ID, offset)
-		must(err)
-		offset = chunk.Next
-		for _, line := range strings.Split(chunk.Data, "\n") {
-			if line != "" {
-				fmt.Println("  program:", line)
+	var pending string
+	for {
+		ev, err := watch.Next()
+		if err != nil {
+			log.Fatalf("game did not finish: %v", err)
+		}
+		if ev.Done {
+			return
+		}
+		pending += ev.Data
+		for {
+			i := strings.IndexByte(pending, '\n')
+			if i < 0 {
+				break
 			}
+			line := pending[:i]
+			pending = pending[i+1:]
+			fmt.Println("  program:", line)
 			switch {
 			case strings.Contains(line, "higher"):
 				lo = lastGuess + 1
@@ -88,12 +102,7 @@ func main() {
 				must(client.SendInput(job.ID, strconv.Itoa(guess)+"\n"))
 			}
 		}
-		if chunk.Done {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	log.Fatal("game did not finish in time")
 }
 
 var lastGuess int

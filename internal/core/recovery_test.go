@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -220,5 +221,87 @@ func TestRecoverOnMemoryProviderIsNoop(t *testing.T) {
 	}
 	if st := sys.Provider.Status(); st.Mode != "memory" {
 		t.Fatalf("provider mode = %q", st.Mode)
+	}
+}
+
+// TestStateImageMigratesIntoDurableSystem covers the upgrade path for a
+// saved state image (such as an old portal.state file): system A's image is
+// restored through the admin restore seam into a durable system B that was
+// booted with a different admin, and everything survives B's hard kill.
+func TestStateImageMigratesIntoDurableSystem(t *testing.T) {
+	// A is never started, so no dispatcher moves its queued job.
+	a, err := NewSystem(config.Default(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Bootstrap("prof", "teachme", auth.RoleAdmin); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Auth.Register("alice", "secret1", auth.RoleStudent); err != nil {
+		t.Fatal(err)
+	}
+	home := a.FS.EnsureHome("alice")
+	if err := home.WriteFile("/prog.mc", []byte(`func main() { println("migrated"); }`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := home.MkdirAll("/results/run1"); err != nil {
+		t.Fatal(err)
+	}
+	finished := mustSubmit(t, a, "alice")
+	a.Jobs.Transition(finished.ID, jobs.StateCompiling, "")
+	a.Jobs.Transition(finished.ID, jobs.StateRunning, "")
+	a.Jobs.Transition(finished.ID, jobs.StateSucceeded, "")
+	waiting := mustSubmit(t, a, "alice")
+	var image bytes.Buffer
+	if err := a.SaveState(&image); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	b := durableSystem(t, dir)
+	if _, err := b.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Bootstrap("migrate", "migrate-pass", auth.RoleAdmin); err != nil {
+		t.Fatal(err)
+	}
+	ops := persistenceOps{b}
+	if err := ops.Restore(bytes.NewReader(image.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if err := ops.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Hard kill: no Stop, no Close, no snapshot.
+
+	c := durableSystem(t, dir)
+	if _, err := c.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for _, admin := range []string{"prof", "migrate"} {
+		if u, err := c.Auth.User(admin); err != nil || u.Role != auth.RoleAdmin {
+			t.Errorf("%s = %+v, %v", admin, u, err)
+		}
+	}
+	if _, err := c.Auth.Login("alice", "secret1"); err != nil {
+		t.Errorf("alice cannot log in after migration: %v", err)
+	}
+	rhome, err := c.FS.Home("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data, err := rhome.ReadFile("/prog.mc"); err != nil || string(data) != `func main() { println("migrated"); }` {
+		t.Errorf("migrated file = %q, %v", data, err)
+	}
+	if _, err := rhome.Stat("/results/run1"); err != nil {
+		t.Errorf("migrated dir missing: %v", err)
+	}
+	for id, want := range map[string]jobs.State{finished.ID: jobs.StateSucceeded, waiting.ID: jobs.StateQueued} {
+		got, err := c.Jobs.Get(id)
+		if err != nil {
+			t.Errorf("%s after migration: %v", id, err)
+		} else if got.State() != want {
+			t.Errorf("%s state = %v, want %v", id, got.State(), want)
+		}
 	}
 }

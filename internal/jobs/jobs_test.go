@@ -132,7 +132,7 @@ func TestTerminalClosesStreams(t *testing.T) {
 	s.Transition(j.ID, StateRunning, "")
 	j.Stdout.Write([]byte("output"))
 	s.Transition(j.ID, StateSucceeded, "")
-	_, _, done := j.Stdout.ReadAt(0)
+	_, _, _, done := j.Stdout.ReadFrom(0, 0)
 	if !done {
 		t.Fatal("stdout not closed at terminal state")
 	}
@@ -256,25 +256,25 @@ func jobIDs(snaps []Snapshot) []string {
 
 // --- Stream tests ------------------------------------------------------------
 
-func TestStreamReadAt(t *testing.T) {
+func TestStreamReadFrom(t *testing.T) {
 	s := NewStream(0)
 	s.Write([]byte("hello "))
-	data, next, done := s.ReadAt(0)
+	data, next, _, done := s.ReadFrom(0, 0)
 	if string(data) != "hello " || next != 6 || done {
-		t.Fatalf("ReadAt(0) = %q, %d, %v", data, next, done)
+		t.Fatalf("ReadFrom(0) = %q, %d, %v", data, next, done)
 	}
 	s.Write([]byte("world"))
-	data, next, _ = s.ReadAt(next)
+	data, next, _, _ = s.ReadFrom(next, 0)
 	if string(data) != "world" || next != 11 {
 		t.Fatalf("incremental read = %q, %d", data, next)
 	}
 	// Reading past the end returns empty.
-	data, _, _ = s.ReadAt(999)
+	data, _, _, _ = s.ReadFrom(999, 0)
 	if len(data) != 0 {
 		t.Fatalf("read past end = %q", data)
 	}
 	s.Close()
-	_, _, done = s.ReadAt(next)
+	_, _, _, done = s.ReadFrom(next, 0)
 	if !done {
 		t.Fatal("done not reported after Close")
 	}
@@ -288,9 +288,9 @@ func TestStreamLimitDropsOldest(t *testing.T) {
 		t.Fatalf("retained = %q", s.String())
 	}
 	// A reader at offset 0 resumes from the oldest retained byte.
-	data, next, _ := s.ReadAt(0)
-	if string(data) != "56789ABCDE" || next != 15 {
-		t.Fatalf("ReadAt(0) after drop = %q, %d", data, next)
+	data, next, dropped, _ := s.ReadFrom(0, 0)
+	if string(data) != "56789ABCDE" || next != 15 || dropped != 5 {
+		t.Fatalf("ReadFrom(0) after drop = %q, %d, dropped %d", data, next, dropped)
 	}
 	if s.Len() != 15 {
 		t.Fatalf("Len = %d, want 15", s.Len())
@@ -324,29 +324,40 @@ func TestStreamConcurrentWriters(t *testing.T) {
 	}
 }
 
-func TestStreamWaitChange(t *testing.T) {
+func TestWatcherNextWaitsForWrite(t *testing.T) {
 	s := NewStream(0)
 	ctx := context.Background()
-	done := make(chan struct{})
+	w := s.Watch(0)
+	defer w.Close()
+	done := make(chan Event)
 	go func() {
-		s.WaitChange(ctx, 0)
-		close(done)
+		ev, _ := w.Next(ctx, 0)
+		done <- ev
 	}()
 	select {
 	case <-done:
-		t.Fatal("WaitChange returned before data")
+		t.Fatal("Next returned before data")
 	case <-time.After(10 * time.Millisecond):
 	}
 	s.Write([]byte("x"))
 	select {
-	case <-done:
+	case ev := <-done:
+		if string(ev.Data) != "x" || ev.Seq != 1 {
+			t.Fatalf("Next = %q at %d, want \"x\" at 1", ev.Data, ev.Seq)
+		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("WaitChange missed the write")
+		t.Fatal("Next missed the write")
 	}
-	// Returns immediately when already past the offset or closed.
-	s.WaitChange(ctx, 0)
+	// Returns at once when data is already buffered, and with io.EOF once
+	// the stream is closed and drained.
+	s.Write([]byte("y"))
+	if ev, err := w.Next(ctx, 0); err != nil || string(ev.Data) != "y" {
+		t.Fatalf("buffered Next = %q, %v", ev.Data, err)
+	}
 	s.Close()
-	s.WaitChange(ctx, 99)
+	if _, err := w.Next(ctx, 0); err != io.EOF {
+		t.Fatalf("Next after close = %v, want io.EOF", err)
+	}
 }
 
 func TestInputFeedAndEOF(t *testing.T) {

@@ -192,28 +192,33 @@ func TestStreamStatsWatchers(t *testing.T) {
 	}
 }
 
-// TestStreamWaitChangeContextCancel covers the long-poll leak fix: a waiter
-// whose request context dies must return promptly instead of parking until
-// the job's next write.
-func TestStreamWaitChangeContextCancel(t *testing.T) {
+// TestWatcherNextContextCancel: a watcher blocked in Next whose context
+// dies returns promptly instead of parking until the job's next write, and
+// closing it leaves no watcher attached.
+func TestWatcherNextContextCancel(t *testing.T) {
 	s := NewStream(0)
 	ctx, cancel := context.WithCancel(context.Background())
-	returned := make(chan struct{})
+	w := s.Watch(0)
+	returned := make(chan error)
 	go func() {
-		s.WaitChange(ctx, 0)
-		close(returned)
+		_, err := w.Next(ctx, 0)
+		returned <- err
 	}()
 	select {
 	case <-returned:
-		t.Fatal("WaitChange returned with no growth, no close, and a live context")
+		t.Fatal("Next returned with no growth, no close, and a live context")
 	case <-time.After(50 * time.Millisecond):
 	}
 	cancel()
 	select {
-	case <-returned:
+	case err := <-returned:
+		if err != context.Canceled {
+			t.Fatalf("Next after cancel = %v, want context.Canceled", err)
+		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("WaitChange ignored context cancellation")
+		t.Fatal("Next ignored context cancellation")
 	}
+	w.Close()
 	if st := s.Stats(); st.Watchers != 0 {
 		t.Fatalf("watcher leaked after cancelled wait: %d attached", st.Watchers)
 	}

@@ -231,23 +231,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return enc.Encode(merged) // json sorts object keys
 }
 
-// WriteText writes "name value" lines, sorted, in the style of a
-// Prometheus exposition (no types or help text — it's a teaching cluster).
-func (r *Registry) WriteText(w io.Writer) error {
-	snap := r.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "%s %d\n", k, snap[k]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WritePrometheus writes the whole registry in the Prometheus text
 // exposition format: counters and gauges as typed single values, histograms
 // as the conventional _bucket{le=...}/_sum/_count triples with cumulative

@@ -3,7 +3,6 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -70,20 +69,6 @@ func TestWriteJSON(t *testing.T) {
 	}
 	if decoded["x"] != 42 {
 		t.Fatalf("decoded = %v", decoded)
-	}
-}
-
-func TestWriteTextSorted(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("zeta").Inc()
-	r.Counter("alpha").Inc()
-	var buf bytes.Buffer
-	if err := r.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 || !strings.HasPrefix(lines[0], "alpha ") || !strings.HasPrefix(lines[1], "zeta ") {
-		t.Fatalf("text = %q", buf.String())
 	}
 }
 

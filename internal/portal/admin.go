@@ -70,18 +70,11 @@ func (s *Server) withRole(min auth.Role, next func(http.ResponseWriter, *http.Re
 	})
 }
 
-// handleMetrics serves the registry; ?format=text gives the line format,
-// anything else JSON. Deliberately unauthenticated, like most metrics
-// endpoints, and carrying no per-user data.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.metricsRegistry()
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		reg.WriteText(w)
-		return
-	}
+// handleMetrics serves the registry as JSON. Deliberately unauthenticated,
+// like most metrics endpoints, and carrying no per-user data.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	reg.WriteJSON(w)
+	s.metricsRegistry().WriteJSON(w)
 }
 
 // handlePrometheus serves the Prometheus text exposition format, so a stock

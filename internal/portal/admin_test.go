@@ -3,6 +3,7 @@ package portal
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -158,16 +159,15 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("dispatched = %v", snap["scheduler_dispatched_total"])
 	}
 
-	// Text form.
-	res2, err := http.Get(s.srv.URL + "/api/metrics?format=text")
+	// Prometheus form, the one text exposition.
+	res2, err := http.Get(s.srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer res2.Body.Close()
-	buf := make([]byte, 4096)
-	n, _ := res2.Body.Read(buf)
-	if !strings.Contains(string(buf[:n]), "cluster_nodes_total 64") {
-		t.Fatalf("text metrics = %q", buf[:n])
+	text, _ := io.ReadAll(res2.Body)
+	if !strings.Contains(string(text), "\ncluster_nodes_total 64\n") {
+		t.Fatalf("prometheus metrics = %q", text)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // indexTemplate is the minimal HTML front page: login form, file browser,
-// submit form and a job monitor that polls the output endpoint — the
+// submit form and a job monitor that follows the job's SSE event stream — the
 // "intuitive navigation" shell over the JSON API. It is deliberately plain
 // HTML + vanilla JS so the portal works from any browser in a classroom.
 var indexTemplate = template.Must(template.New("index").Parse(`<!DOCTYPE html>
@@ -84,20 +84,19 @@ async function upload() {
               {method: 'PUT', body: editor.value});
   listFiles();
 }
-let currentJob = null, offset = 0;
+let currentJob = null, events = null;
 async function submitJob() {
   const r = await api('POST', '/api/jobs', {source_path: src.value, ranks: parseInt(ranks.value)});
   if (r.error) { output.textContent = r.error; return; }
-  currentJob = r.id; offset = 0; output.textContent = '';
+  currentJob = r.id; output.textContent = '';
   jobid.textContent = r.id;
-  poll();
-}
-async function poll() {
-  if (!currentJob) return;
-  const r = await api('GET', '/api/jobs/' + currentJob + '/output?offset=' + offset);
-  output.textContent += r.data; offset = r.next;
-  if (!r.done) setTimeout(poll, 500);
-  else output.textContent += '\n[' + r.state + ']';
+  if (events) events.close();
+  events = new EventSource('/api/jobs/' + r.id + '/events');
+  events.addEventListener('output', e => { output.textContent += JSON.parse(e.data).data; });
+  events.addEventListener('done', e => {
+    output.textContent += '\n[' + JSON.parse(e.data).state + ']';
+    e.target.close();
+  });
 }
 async function feed() {
   if (!currentJob) return;

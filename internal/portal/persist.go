@@ -31,14 +31,19 @@ func (s *Server) SetPersistence(p Persistence) { s.persist = p }
 // acknowledging: it returns once every record journaled so far — including
 // the one the current request just emitted — is flushed under the
 // configured fsync policy. Concurrent requests share one group-committed
-// flush, and with no persistence attached it costs one nil check.
-func (s *Server) syncPersistence() {
+// flush, and with no persistence attached it costs one nil check. A failed
+// flush comes back as a 503 envelope for the handler to send in place of
+// its acknowledgement: a write that may not survive a crash is never
+// reported as done.
+func (s *Server) syncPersistence() *apiErr {
 	if s.persist == nil {
-		return
+		return nil
 	}
 	if err := s.persist.Sync(); err != nil {
 		s.Log.Errorf("persistence sync failed: %v", err)
+		return errf(http.StatusServiceUnavailable, CodeInternal, "the write could not be made durable")
 	}
+	return nil
 }
 
 // installPersistence registers the admin persistence endpoints.
@@ -84,7 +89,10 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, sess *aut
 		writeError(w, r, fromDomain(err))
 		return
 	}
-	s.syncPersistence()
+	if e := s.syncPersistence(); e != nil {
+		writeError(w, r, e)
+		return
+	}
 	s.Log.Infof("state restored by %s", sess.User)
 	s.writeJSON(w, http.StatusOK, statusResponse{Status: "restored"})
 }

@@ -2,6 +2,7 @@ package portal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/auth"
 	"repro/internal/dataprovider"
+	"repro/internal/tenancy"
 )
 
 // fakePersist implements Persistence over a byte slice, standing in for the
@@ -18,6 +20,7 @@ type fakePersist struct {
 	data       []byte
 	restoreErr error
 	syncs      atomic.Int64
+	failSync   atomic.Bool // Sync reports an I/O error while set
 }
 
 func (p *fakePersist) Backup(w io.Writer) error {
@@ -43,6 +46,9 @@ func (p *fakePersist) Status() dataprovider.Status {
 
 func (p *fakePersist) Sync() error {
 	p.syncs.Add(1)
+	if p.failSync.Load() {
+		return errors.New("fsync wal.log: input/output error")
+	}
 	return nil
 }
 
@@ -178,5 +184,49 @@ func TestMutationsCrossSyncBarrier(t *testing.T) {
 	}
 	if fake.syncs.Load() <= before {
 		t.Fatal("mkdir acknowledged without a durability sync")
+	}
+}
+
+// TestMutationsFailClosedOnSyncError: when the durability barrier fails,
+// every mutating handler answers 503 internal instead of acknowledging a
+// write that might not survive a crash.
+func TestMutationsFailClosedOnSyncError(t *testing.T) {
+	s := newStackDispatch(t, false)
+	attachTenancy(s, tenancy.Limits{})
+	fake := &fakePersist{}
+	s.server.SetPersistence(fake)
+	c := s.register(t, "student1", "password1")
+	admin := registerWithRole(t, s, "root1", auth.RoleAdmin)
+	if st, body := c.do("PUT", "/api/files/content?path=/prog.mc", "func main() { }"); st >= 300 {
+		t.Fatalf("upload = %d: %s", st, body)
+	}
+	st, body := c.do("POST", "/api/jobs", map[string]interface{}{"source_path": "/prog.mc"})
+	var job struct{ ID string }
+	if err := json.Unmarshal(body, &job); err != nil || st != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", st, body)
+	}
+
+	fake.failSync.Store(true)
+	for _, tc := range []struct {
+		c            *client
+		method, path string
+		body         interface{}
+	}{
+		{c, "POST", "/api/register", map[string]string{"user": "late1", "password": "password1"}},
+		{c, "PUT", "/api/files/content?path=/new.mc", "func main() { }"},
+		{c, "POST", "/api/files/mkdir", map[string]string{"path": "/work"}},
+		{c, "POST", "/api/files/copy", map[string]string{"src": "/prog.mc", "dst": "/copy.mc"}},
+		{c, "POST", "/api/files/format", map[string]string{"path": "/prog.mc"}},
+		{c, "POST", "/api/jobs", map[string]interface{}{"source_path": "/prog.mc"}},
+		{c, "POST", "/api/jobs/" + job.ID + "/cancel", nil},
+		{c, "POST", "/api/files/rename", map[string]string{"src": "/copy.mc", "dst": "/moved.mc"}},
+		{c, "POST", "/api/files/delete", map[string]string{"path": "/moved.mc"}},
+		{admin, "PUT", "/api/admin/users/student1/limits", map[string]int64{"max_jobs": 3}},
+		{admin, "POST", "/api/admin/restore", json.RawMessage(`{"version":3}`)},
+	} {
+		st, body := tc.c.do(tc.method, tc.path, tc.body)
+		if st != http.StatusServiceUnavailable || errCode(t, body) != CodeInternal {
+			t.Errorf("%s %s with a failing sync = %d %s, want 503 internal", tc.method, tc.path, st, body)
+		}
 	}
 }

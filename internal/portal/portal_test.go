@@ -3,10 +3,10 @@ package portal
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -145,6 +145,38 @@ func (c *client) getJSON(path string, v interface{}) int {
 	return status
 }
 
+// output reads the job's merged output over SSE, from the start until the
+// done event, and returns it with the job's state at that point.
+func (c *client) output(jobID string) (data, state string) {
+	c.t.Helper()
+	res, r := c.openEvents(jobID, "?seq=0", nil)
+	defer time.AfterFunc(10*time.Second, func() { res.Body.Close() }).Stop()
+	var b strings.Builder
+	for {
+		ev := r.next()
+		if ev.name == "done" {
+			return b.String(), ev.Stat
+		}
+		b.WriteString(ev.Data)
+	}
+}
+
+// awaitOutput reads the job's SSE stream until its output contains want,
+// failing the test if the stream ends first.
+func (c *client) awaitOutput(jobID, want string) {
+	c.t.Helper()
+	res, r := c.openEvents(jobID, "?seq=0", nil)
+	defer time.AfterFunc(10*time.Second, func() { res.Body.Close() }).Stop()
+	var b strings.Builder
+	for !strings.Contains(b.String(), want) {
+		ev := r.next()
+		if ev.name == "done" {
+			c.t.Fatalf("job ended (%s) before printing %q; output %q", ev.Stat, want, b.String())
+		}
+		b.WriteString(ev.Data)
+	}
+}
+
 func TestIndexPage(t *testing.T) {
 	s := newStack(t)
 	res, err := http.Get(s.srv.URL + "/")
@@ -162,6 +194,50 @@ func TestIndexPage(t *testing.T) {
 		t.Fatalf("unknown path status = %d", res2.StatusCode)
 	}
 	res2.Body.Close()
+}
+
+// indexCallRe matches each API call in the index page's script: the method
+// (an api() argument or a fetch option, GET when absent) and the URL
+// expression, whose quoted parts are concatenated around job IDs.
+var indexCallRe = regexp.MustCompile(`(?:api\('(\w+)', |fetch\(|new EventSource\()('/api/[^']*'(?: \+ [\w.]+ \+ '[^']*')*)(?:[^;]*?method: '(\w+)')?`)
+
+// TestIndexCallsOnlyRegisteredRoutes fails when the browser UI calls a
+// route the mux does not serve: every API call in the page, sent without a
+// session, must reach a handler (401, 400, ...) rather than 404 or 405.
+func TestIndexCallsOnlyRegisteredRoutes(t *testing.T) {
+	s := newStackDispatch(t, false)
+	var page bytes.Buffer
+	if err := indexTemplate.Execute(&page, nil); err != nil {
+		t.Fatal(err)
+	}
+	calls := indexCallRe.FindAllStringSubmatch(page.String(), -1)
+	if n := strings.Count(page.String(), "'/api/"); len(calls) != n {
+		t.Fatalf("matched %d API calls, but the page has %d '/api/ literals", len(calls), n)
+	}
+	seen := map[string]bool{}
+	for _, m := range calls {
+		method := m[1] + m[3]
+		if method == "" {
+			method = "GET"
+		}
+		var path strings.Builder
+		for i, part := range strings.Split(m[2], " + ") {
+			if i%2 == 0 {
+				path.WriteString(strings.Trim(part, "'"))
+			} else {
+				path.WriteString("job-1") // a variable between quoted parts
+			}
+		}
+		rec := httptest.NewRecorder()
+		s.server.ServeHTTP(rec, httptest.NewRequest(method, path.String(), nil))
+		if rec.Code == http.StatusNotFound || rec.Code == http.StatusMethodNotAllowed {
+			t.Errorf("index page calls %s %s: status %d", method, path.String(), rec.Code)
+		}
+		seen[method+" "+path.String()] = true
+	}
+	if !seen["GET /api/jobs/job-1/events"] {
+		t.Fatalf("job monitor call not found among %v", seen)
+	}
 }
 
 func TestAuthRequired(t *testing.T) {
@@ -370,13 +446,8 @@ func TestEndToEndJob(t *testing.T) {
 	if state != "succeeded" {
 		t.Fatalf("job state = %s", state)
 	}
-	var out struct {
-		Data string `json:"data"`
-		Done bool   `json:"done"`
-	}
-	c.getJSON("/api/jobs/"+id+"/output?offset=0", &out)
-	if out.Data != "via portal\n" || !out.Done {
-		t.Fatalf("output = %+v", out)
+	if data, st := c.output(id); data != "via portal\n" || st != "succeeded" {
+		t.Fatalf("output = %q (%s)", data, st)
 	}
 }
 
@@ -392,10 +463,8 @@ func main() {
 	if state != "succeeded" {
 		t.Fatalf("job state = %s", state)
 	}
-	var out struct{ Data string }
-	c.getJSON("/api/jobs/"+id+"/output?offset=0", &out)
-	if !strings.Contains(out.Data, "ranks: 6") {
-		t.Fatalf("output = %q", out.Data)
+	if data, _ := c.output(id); !strings.Contains(data, "ranks: 6") {
+		t.Fatalf("output = %q", data)
 	}
 }
 
@@ -417,18 +486,7 @@ func main() {
 	}
 	json.Unmarshal(resp, &job)
 	// Wait until the program prints "ready" (it is blocked on stdin).
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var out struct{ Data string }
-		c.getJSON("/api/jobs/"+job.ID+"/output?offset=0", &out)
-		if strings.Contains(out.Data, "ready") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("program never became ready")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	c.awaitOutput(job.ID, "ready")
 	if st, _ := c.do("POST", "/api/jobs/"+job.ID+"/input", map[string]string{"data": "hi there\n"}); st != http.StatusOK {
 		t.Fatalf("input feed = %d", st)
 	}
@@ -436,10 +494,8 @@ func main() {
 	if err != nil || snap.State != jobs.StateSucceeded {
 		t.Fatalf("final = %+v, %v", snap, err)
 	}
-	var out struct{ Data string }
-	c.getJSON("/api/jobs/"+job.ID+"/output?offset=0", &out)
-	if !strings.Contains(out.Data, "echo: hi there") {
-		t.Fatalf("output = %q", out.Data)
+	if data, _ := c.output(job.ID); !strings.Contains(data, "echo: hi there") {
+		t.Fatalf("output = %q", data)
 	}
 	// Feeding a finished job conflicts.
 	if st, _ := c.do("POST", "/api/jobs/"+job.ID+"/input", map[string]string{"data": "x"}); st != http.StatusConflict {
@@ -456,8 +512,8 @@ func TestJobOwnershipEnforced(t *testing.T) {
 	if st := eve.getJSON("/api/jobs/"+id, nil); st != http.StatusForbidden {
 		t.Fatalf("cross-user job get = %d", st)
 	}
-	if st := eve.getJSON("/api/jobs/"+id+"/output", nil); st != http.StatusForbidden {
-		t.Fatalf("cross-user output = %d", st)
+	if st := eve.getJSON("/api/jobs/"+id+"/events", nil); st != http.StatusForbidden {
+		t.Fatalf("cross-user events = %d", st)
 	}
 	// Unknown job is 404.
 	if st := alice.getJSON("/api/jobs/job-999999", nil); st != http.StatusNotFound {
@@ -554,20 +610,12 @@ func main() {
 	}
 	json.Unmarshal(resp, &job)
 	// Wait until the program is demonstrably executing.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		var out struct {
-			Data  string `json:"data"`
-			State string `json:"state"`
-		}
-		c.getJSON("/api/jobs/"+job.ID+"/output?offset=0", &out)
-		if out.State == "running" && strings.Contains(out.Data, "spinning") {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started spinning (state %s, output %q)", out.State, out.Data)
-		}
-		time.Sleep(2 * time.Millisecond)
+	c.awaitOutput(job.ID, "spinning")
+	var got struct {
+		State string `json:"state"`
+	}
+	if c.getJSON("/api/jobs/"+job.ID, &got); got.State != "running" {
+		t.Fatalf("state after first output = %s, want running", got.State)
 	}
 	if st, _ := c.do("POST", "/api/jobs/"+job.ID+"/cancel", nil); st != http.StatusOK {
 		t.Fatalf("cancel = %d", st)
@@ -580,7 +628,7 @@ func main() {
 		t.Fatalf("snap = %+v", snap)
 	}
 	// Both VM ranks must actually halt and release their nodes.
-	deadline = time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for s.clus.FreeCount() != s.clus.Size() {
 		if time.Now().After(deadline) {
 			t.Fatalf("nodes not released: %d/%d free", s.clus.FreeCount(), s.clus.Size())
@@ -680,53 +728,4 @@ func min(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestLongPollOutput(t *testing.T) {
-	s := newStack(t)
-	c := s.register(t, "alice", "secret1")
-	c.do("PUT", "/api/files/content?path=/slow.mc", `
-func main() {
-	var line = readline();
-	println("after input: " + line);
-}`)
-	status, resp := c.do("POST", "/api/jobs", map[string]interface{}{"source_path": "/slow.mc"})
-	if status != http.StatusAccepted {
-		t.Fatal("submit failed")
-	}
-	var job struct {
-		ID string `json:"id"`
-	}
-	json.Unmarshal(resp, &job)
-
-	type pollResult struct {
-		Data string `json:"data"`
-		Done bool   `json:"done"`
-	}
-	resCh := make(chan pollResult, 1)
-	go func() {
-		var pr pollResult
-		c.getJSON(fmt.Sprintf("/api/jobs/%s/output?offset=0&wait=1", job.ID), &pr)
-		resCh <- pr
-	}()
-	// The long poll must be pending until input unblocks the program.
-	select {
-	case pr := <-resCh:
-		// Possible if job already scheduled + waiting; data must be empty.
-		if pr.Data != "" {
-			t.Fatalf("unexpected early data %q", pr.Data)
-		}
-	case <-time.After(50 * time.Millisecond):
-	}
-	c.do("POST", "/api/jobs/"+job.ID+"/input", map[string]string{"data": "x\n"})
-	select {
-	case pr := <-resCh:
-		_ = pr // either path is fine; full output checked below
-	case <-time.After(10 * time.Second):
-		t.Fatal("long poll never returned")
-	}
-	snap, err := s.store.WaitTerminal(job.ID, 10*time.Second)
-	if err != nil || snap.State != jobs.StateSucceeded {
-		t.Fatalf("job = %+v, %v", snap, err)
-	}
 }

@@ -2,7 +2,6 @@ package portal
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"net/http"
 	"sort"
@@ -67,9 +66,10 @@ func (r *sseReader) next() sseEvent {
 
 // openEvents starts an SSE subscription for the job and returns the live
 // response plus a frame reader.
-func openEvents(t *testing.T, s *stack, c *client, jobID, extra string, hdr map[string]string) (*http.Response, *sseReader) {
+func (c *client) openEvents(jobID, extra string, hdr map[string]string) (*http.Response, *sseReader) {
+	t := c.t
 	t.Helper()
-	req, err := http.NewRequest("GET", s.srv.URL+"/api/jobs/"+jobID+"/events"+extra, nil)
+	req, err := http.NewRequest("GET", c.base+"/api/jobs/"+jobID+"/events"+extra, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestJobEventsSSEDelivery(t *testing.T) {
 	job := submitIdleJob(t, s, "alice")
 	job.Stdout.Write([]byte("hello "))
 
-	res, r := openEvents(t, s, alice, job.ID, "", nil)
+	res, r := alice.openEvents(job.ID, "", nil)
 	if res.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", res.StatusCode)
 	}
@@ -149,7 +149,7 @@ func TestJobEventsResume(t *testing.T) {
 	// Resume mid-stream via Last-Event-ID, as a reconnecting EventSource
 	// would. The id on each event is the position after its last byte, so a
 	// client that saw id 4 has bytes [0,4) and resumes at position 4.
-	_, r := openEvents(t, s, alice, job.ID, "", map[string]string{"Last-Event-ID": "4"})
+	_, r := alice.openEvents(job.ID, "", map[string]string{"Last-Event-ID": "4"})
 	ev := r.next()
 	if ev.Data != "456789" || ev.Seq != 10 || ev.Drop != 0 {
 		t.Fatalf("resumed event = %+v", ev)
@@ -159,14 +159,14 @@ func TestJobEventsResume(t *testing.T) {
 	}
 
 	// An explicit ?seq= wins over the header.
-	_, r = openEvents(t, s, alice, job.ID, "?seq=8", map[string]string{"Last-Event-ID": "2"})
+	_, r = alice.openEvents(job.ID, "?seq=8", map[string]string{"Last-Event-ID": "2"})
 	if ev = r.next(); ev.Data != "89" {
 		t.Fatalf("seq-param event = %+v", ev)
 	}
 
 	// A malformed resume point is a 400 in the standard envelope, not a
 	// silently restarted stream.
-	res, _ := openEvents(t, s, alice, job.ID, "", map[string]string{"Last-Event-ID": "bogus"})
+	res, _ := alice.openEvents(job.ID, "", map[string]string{"Last-Event-ID": "bogus"})
 	if res.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad Last-Event-ID status = %d", res.StatusCode)
 	}
@@ -182,7 +182,7 @@ func TestJobEventsStaleResumeReportsDrop(t *testing.T) {
 	}
 	job.Stdout.Close()
 
-	_, r := openEvents(t, s, alice, job.ID, "?seq=0", nil)
+	_, r := alice.openEvents(job.ID, "?seq=0", nil)
 	ev := r.next()
 	if ev.Drop == 0 {
 		t.Fatalf("stale resume did not surface a dropped range: %+v", ev)
@@ -202,32 +202,18 @@ func TestJobEventsAuthz(t *testing.T) {
 	}
 }
 
-// TestJobOutputLongPollDisconnectReleasesWatcher covers the leak fix on the
-// compatibility endpoint: a long-poller that goes away mid-wait must release
-// its server-side watcher without waiting for the job's next write.
-func TestJobOutputLongPollDisconnectReleasesWatcher(t *testing.T) {
+// TestJobEventsDisconnectReleasesWatcher covers the leak fix: a watcher
+// that goes away mid-wait must release its server-side watcher without
+// waiting for the job's next write.
+func TestJobEventsDisconnectReleasesWatcher(t *testing.T) {
 	s := newStackDispatch(t, false)
 	alice := s.register(t, "alice", "password1")
 	job := submitIdleJob(t, s, "alice")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	req, err := http.NewRequestWithContext(ctx, "GET", s.srv.URL+"/api/jobs/"+job.ID+"/output?offset=0&wait=1", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Authorization", "Bearer "+alice.token)
-	errc := make(chan error, 1)
-	go func() {
-		_, err := http.DefaultClient.Do(req)
-		errc <- err
-	}()
-
-	// The handler is parked in WaitChange with a watcher attached.
+	res, _ := alice.openEvents(job.ID, "?seq=0", nil)
+	// The handler is parked on an idle stream with a watcher attached.
 	waitFor(t, func() bool { return job.Stdout.Stats().Watchers == 1 })
-	cancel()
-	if err := <-errc; err == nil {
-		t.Fatal("cancelled long-poll returned a response")
-	}
+	res.Body.Close()
 	// No write ever happened, yet the watcher is gone: the handler exited.
 	waitFor(t, func() bool { return job.Stdout.Stats().Watchers == 0 })
 }
@@ -270,25 +256,21 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition never held")
 }
 
-// TestJobEventsLongPollStillWorks pins the compatibility contract: the
-// long-poll response carries the dropped count next to data/next/done.
-func TestJobEventsLongPollStillWorks(t *testing.T) {
+// TestJobEventsCatchUpFields pins the event shape: a catch-up read carries
+// the data, its resume position and the dropped count, and the done event
+// carries the position and the job's state.
+func TestJobEventsCatchUpFields(t *testing.T) {
 	s := newStackDispatch(t, false)
 	alice := s.register(t, "alice", "password1")
 	job := submitIdleJob(t, s, "alice")
 	job.Stdout.Write([]byte("abc"))
-	var out struct {
-		Data    string `json:"data"`
-		Next    int64  `json:"next"`
-		Done    bool   `json:"done"`
-		Dropped int64  `json:"dropped"`
-		State   string `json:"state"`
+	_, r := alice.openEvents(job.ID, "?seq=0", nil)
+	if ev := r.next(); ev.name != "output" || ev.Data != "abc" || ev.Seq != 3 || ev.Drop != 0 {
+		t.Fatalf("catch-up event = %+v", ev)
 	}
-	if st := alice.getJSON("/api/jobs/"+job.ID+"/output?offset=0", &out); st != http.StatusOK {
-		t.Fatalf("output status = %d", st)
-	}
-	if out.Data != "abc" || out.Next != 3 || out.Done || out.Dropped != 0 || out.State != "queued" {
-		t.Fatalf("long-poll shape = %+v", out)
+	job.Stdout.Close()
+	if ev := r.next(); ev.name != "done" || ev.Seq != 3 || ev.Stat != "queued" {
+		t.Fatalf("done event = %+v", ev)
 	}
 }
 
@@ -298,7 +280,7 @@ func TestJobEventsLongPollStillWorks(t *testing.T) {
 func watchIdle(t *testing.T, s *stack, c *client) (*jobs.Job, *sseReader) {
 	t.Helper()
 	job := submitIdleJob(t, s, "alice")
-	_, r := openEvents(t, s, c, job.ID, "?seq=0", nil)
+	_, r := c.openEvents(job.ID, "?seq=0", nil)
 	waitFor(t, func() bool { return job.Stdout.Stats().Watchers == 1 })
 	return job, r
 }

@@ -149,24 +149,36 @@ func TestFairShareCohortFloodBound(t *testing.T) {
 	}
 }
 
+// waitInputSrc holds its node until the job's stdin is closed.
+const waitInputSrc = `func main() { var line = readline(); }`
+
 // TestFairShareWeightProportional pins the weighted service ratio: with
 // weights 4 vs 1 and both lanes saturated, the favored user must receive at
 // least 3× the dispatches of the default user within one full-cluster pass.
+// Every job blocks on stdin, so a started job holds its node until the test
+// ends: the pass fills the cluster exactly once, and the split is measured
+// among those dispatches rather than among jobs that freed their node
+// while the pass was still running.
 func TestFairShareWeightProportional(t *testing.T) {
 	ft := newFakeTenant()
 	ft.weights["favored"] = 4
 	r := newRig(t, Options{FairShare: true, Tenant: ft})
-	r.addSource(t, "heavy", "/job.mc", helloSrc)
-	r.addSource(t, "favored", "/job.mc", helloSrc)
+	r.addSource(t, "heavy", "/job.mc", waitInputSrc)
+	r.addSource(t, "favored", "/job.mc", waitInputSrc)
 
 	var heavyJobs, favoredJobs []*jobs.Job
 	for i := 0; i < 300; i++ {
 		heavyJobs = append(heavyJobs, r.submit(t, "heavy", "/job.mc", "minic", 1))
 		favoredJobs = append(favoredJobs, r.submit(t, "favored", "/job.mc", "minic", 1))
 	}
+	t.Cleanup(func() {
+		for _, j := range append(heavyJobs, favoredJobs...) {
+			j.Stdin.Close()
+		}
+	})
 	started := r.sched.Tick()
-	if started < 64 {
-		t.Fatalf("pass started %d jobs, want at least 64", started)
+	if started != r.clus.Size() {
+		t.Fatalf("pass started %d jobs, want one per node (%d)", started, r.clus.Size())
 	}
 	waitFor(t, "all started jobs to leave the queue", func() bool {
 		return countNotQueued(heavyJobs)+countNotQueued(favoredJobs) >= started

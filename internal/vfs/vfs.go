@@ -209,14 +209,6 @@ func (h *Home) Used() int64 {
 	return h.used
 }
 
-// Quota reports the home's byte quota (0 means unlimited). Quotas are
-// mutable at runtime via FS.SetQuota, so the read is taken under the lock.
-func (h *Home) Quota() int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.quota
-}
-
 // Mkdir creates a directory. Parent directories must already exist; use
 // MkdirAll to create the whole chain.
 func (h *Home) Mkdir(p string) error {
